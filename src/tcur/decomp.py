@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DimMismatch, RankOutOfRange, ZeroTensor
 from .tensor_ops import (
     DEFAULT_SV_TOL_FACTOR,
-    _as_complex3,
     _as_tensor3,
     fft_mode3,
     ifft_mode3,
@@ -80,7 +79,7 @@ def column_scores(w_hat: np.ndarray) -> np.ndarray:
     Raises:
         ZeroTensor: all fibers have zero norm.
     """
-    w_hat = _as_complex3(w_hat, "w_hat")
+    w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
     fiber = np.linalg.norm(w_hat, axis=0)  # (n2, n3)
     per_col = fiber.sum(axis=1)
     total = float(per_col.sum())
@@ -98,7 +97,7 @@ def row_scores(w_hat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     Raises:
         ZeroTensor: the restricted sub-tensor is all zero.
     """
-    w_hat = _as_complex3(w_hat, "w_hat")
+    w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
     cols = _validate_index_set(cols, w_hat.shape[1], "cols")
     sub = w_hat[:, cols, :]
     fiber = np.linalg.norm(sub, axis=1)  # (n1, n3)
@@ -221,12 +220,4 @@ def matrix_cur_reconstruct(f: MatrixCurFactors) -> np.ndarray:
 
     The sampled intersection W(I, J) is ``R[:, cols]``.
     """
-    core = f.R[:, f.cols]
-    u, s, vh = np.linalg.svd(core, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    if smax == 0.0:
-        core_pinv = np.zeros((core.shape[1], core.shape[0]))
-    else:
-        keep = s >= f.sv_tol_factor * max(core.shape) * smax
-        core_pinv = (vh[keep].T * (1.0 / s[keep])) @ u[:, keep].T
-    return f.C @ core_pinv @ f.R
+    return f.C @ tpinv(f.R[:, f.cols, None], f.sv_tol_factor)[:, :, 0] @ f.R

@@ -6,8 +6,12 @@ The t-product ``A * B`` of tensors shaped ``(n1, n2, n3)`` and
 ``(n2, l, n3)`` is the block-circulant matrix built from the slices of A
 acting on the vertically stacked slices of B, folded back to ``(n1, l, n3)``.
 
-Two routes are provided. :func:`tprod` is the fast path: DFT along mode 3,
-independent matrix products per Fourier slice, inverse DFT.
+Two routes are provided. :func:`tprod` is the fast path: the mode-3
+spectrum of a real tensor is conjugate-symmetric, so its first n3//2 + 1
+slices determine it; they are held slice-major, ``(n3//2 + 1, n1, n2)``, and
+multiplied in one batched matrix product (:func:`tpinv` is one batched SVD).
+Their inverse checks that the DC slice, and at even n3 the Nyquist slice,
+is real; the full-spectrum :func:`ifft_mode3` checks every entry instead.
 :func:`tprod_bruteforce` materializes the block-circulant matrix and is kept
 as the oracle the fast path is tested against.
 
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import DimMismatch, ResidualImaginary, ZeroReference
 
-#: Relative tolerance for the imaginary residue discarded by ifft_mode3.
+#: Relative tolerance for the imaginary residue an inverse FFT discards.
 #: Large enough to absorb FFT rounding, small enough to expose a spectrum
 #: that was never conjugate-symmetric to begin with.
 DEFAULT_IMAG_TOL = 1e-8
@@ -31,18 +35,8 @@ DEFAULT_IMAG_TOL = 1e-8
 DEFAULT_SV_TOL_FACTOR = float(np.finfo(np.float64).eps)
 
 
-def _as_tensor3(t, name: str = "tensor") -> np.ndarray:
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim != 3 or min(arr.shape) < 1:
-        raise DimMismatch(
-            f"{name} must be a third-order tensor with positive dims, "
-            f"got shape {np.shape(t)}"
-        )
-    return arr
-
-
-def _as_complex3(t, name: str = "tensor") -> np.ndarray:
-    arr = np.asarray(t, dtype=np.complex128)
+def _as_tensor3(t, name: str = "tensor", dtype=np.float64) -> np.ndarray:
+    arr = np.asarray(t, dtype=dtype)
     if arr.ndim != 3 or min(arr.shape) < 1:
         raise DimMismatch(
             f"{name} must be a third-order tensor with positive dims, "
@@ -79,7 +73,7 @@ def ifft_mode3(t_hat: np.ndarray, tol: float = DEFAULT_IMAG_TOL) -> np.ndarray:
     Raises:
         ResidualImaginary: if the residue check fails.
     """
-    arr = _as_complex3(t_hat)
+    arr = _as_tensor3(t_hat, dtype=np.complex128)
     full = np.fft.ifft(arr, axis=2)
     imag_max = float(np.abs(full.imag).max())
     real_max = float(np.abs(full.real).max())
@@ -90,6 +84,33 @@ def ifft_mode3(t_hat: np.ndarray, tol: float = DEFAULT_IMAG_TOL) -> np.ndarray:
             "conjugate-symmetric along mode 3"
         )
     return np.ascontiguousarray(full.real)
+
+
+def _to_spec(t: np.ndarray) -> np.ndarray:
+    """Half spectrum along mode 3, slice-major: (n3//2 + 1, n1, n2)."""
+    # Not C-contiguous, yet batched matmul on it is fast; copying the view
+    # before the rfft made the rfft about 3x slower.
+    return np.fft.rfft(t.transpose(2, 0, 1), axis=0)
+
+
+def _from_spec(s: np.ndarray, n3: int) -> np.ndarray:
+    """Contiguous real (n1, l, n3) tensor from a slice-major half spectrum.
+
+    Raises ResidualImaginary when the imaginary part of the DC slice (and at
+    even n3 the Nyquist slice), which ``irfft`` would drop, adds more than
+    ``DEFAULT_IMAG_TOL * (1 + max|out|)`` to an entry of the inverse.
+    """
+    edges = s[[0, -1]] if n3 % 2 == 0 else s[:1]
+    imag_max = float(np.abs(edges.imag).sum(axis=0).max()) / n3
+    out = np.ascontiguousarray(np.fft.irfft(s, n=n3, axis=0).transpose(1, 2, 0))
+    real_max = float(np.abs(out).max()) if imag_max > DEFAULT_IMAG_TOL else 0.0
+    if imag_max > DEFAULT_IMAG_TOL * (1.0 + real_max):
+        raise ResidualImaginary(
+            f"imaginary residue {imag_max:.3e} of the DC/Nyquist slice exceeds "
+            f"{DEFAULT_IMAG_TOL:.1e} * (1 + {real_max:.3e}); half spectrum "
+            "is not that of a real tensor"
+        )
+    return out
 
 
 def _check_tprod_dims(a: np.ndarray, b: np.ndarray) -> None:
@@ -103,8 +124,8 @@ def _check_tprod_dims(a: np.ndarray, b: np.ndarray) -> None:
 def tprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """t-product via the Fourier-domain fast path.
 
-    Transforms both operands along mode 3, multiplies corresponding
-    frontal slices, and transforms back.
+    Transforms both operands along mode 3 (half spectrum), multiplies
+    corresponding frontal slices in one batched product, and transforms back.
 
     Args:
         a: tensor, shape (n1, n2, n3).
@@ -119,10 +140,7 @@ def tprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = _as_tensor3(a, "a")
     b = _as_tensor3(b, "b")
     _check_tprod_dims(a, b)
-    a_hat = np.fft.fft(a, axis=2)
-    b_hat = np.fft.fft(b, axis=2)
-    c_hat = np.einsum("ijk,jlk->ilk", a_hat, b_hat)
-    return ifft_mode3(c_hat)
+    return _from_spec(_to_spec(a) @ _to_spec(b), a.shape[2])
 
 
 def tprod_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,12 +181,7 @@ def ttranspose(a: np.ndarray) -> np.ndarray:
     ``(A * B)^T == B^T * A^T`` and ``<A * B, C> == <B, A^T * C>``.
     """
     a = _as_tensor3(a)
-    n1, n2, n3 = a.shape
-    out = np.empty((n2, n1, n3))
-    out[:, :, 0] = a[:, :, 0].T
-    for k in range(1, n3):
-        out[:, :, k] = a[:, :, n3 - k].T
-    return out
+    return a.transpose(1, 0, 2)[:, :, -np.arange(a.shape[2]) % a.shape[2]]
 
 
 def tidentity(n: int, n3: int) -> np.ndarray:
@@ -180,38 +193,24 @@ def tidentity(n: int, n3: int) -> np.ndarray:
     return out
 
 
-def _pinv_slice(m: np.ndarray, cutoff_factor: float) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of one complex slice via SVD.
-
-    Singular values below ``cutoff_factor * sigma_max`` are truncated.
-    """
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    smax = float(s[0]) if s.size else 0.0
-    if smax == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    keep = s >= cutoff_factor * smax
-    inv_s = 1.0 / s[keep]
-    return (vh[keep].conj().T * inv_s) @ u[:, keep].conj().T
-
-
 def tpinv(a: np.ndarray, sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR) -> np.ndarray:
     """Moore-Penrose pseudoinverse in the t-product sense.
 
     Computed slice-wise in the Fourier domain: each complex frontal slice
     is pseudoinverted via its SVD, truncating singular values below
     ``sv_tol_factor * max(n1, n2) * sigma_max``, then transformed back.
+    An all-zero slice inverts to zero.
 
     Satisfies the Penrose identities under the t-product:
     ``A * A+ * A == A`` and ``A+ * A * A+ == A+`` (up to rounding).
     """
     a = _as_tensor3(a)
-    n1, n2, n3 = a.shape
-    a_hat = np.fft.fft(a, axis=2)
-    cutoff_factor = sv_tol_factor * max(n1, n2)
-    out_hat = np.empty((n2, n1, n3), dtype=np.complex128)
-    for k in range(n3):
-        out_hat[:, :, k] = _pinv_slice(a_hat[:, :, k], cutoff_factor)
-    return ifft_mode3(out_hat)
+    u, s, vh = np.linalg.svd(_to_spec(a), full_matrices=False)
+    smax = s[:, :1]  # per slice; singular values come sorted descending
+    keep = (s >= sv_tol_factor * max(a.shape[:2]) * smax) & (smax > 0.0)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    pinv_hat = (vh.conj().swapaxes(1, 2) * inv_s[:, None, :]) @ u.conj().swapaxes(1, 2)
+    return _from_spec(pinv_hat, a.shape[2])
 
 
 def fro_norm(a: np.ndarray) -> float:

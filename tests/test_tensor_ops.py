@@ -17,6 +17,7 @@ from tcur import (
     tprod_bruteforce,
     ttranspose,
 )
+from tcur.tensor_ops import _from_spec, _to_spec
 
 
 # ------------------------------------------------------------- hand oracles
@@ -94,6 +95,12 @@ def test_tprod_matches_bruteforce_on_random_pairs():
         a = rng.standard_normal((n1, n2, n3))
         b = rng.standard_normal((n2, l, n3))
         assert rel_error(tprod(a, b), tprod_bruteforce(a, b)) <= 1e-10
+    # the half spectrum is the DC slice alone at n3 = 1, gains a Nyquist
+    # slice at every even n3 and has none at odd n3
+    for n3 in (1, 2, 3, 4, 5, 8):
+        a = rng.standard_normal((5, 4, n3))
+        b = rng.standard_normal((4, 3, n3))
+        assert rel_error(tprod(a, b), tprod_bruteforce(a, b)) <= 1e-10
 
 
 def test_tprod_single_slice_is_matmul():
@@ -129,6 +136,21 @@ def test_ifft_tolerance_is_adjustable():
     with pytest.raises(ResidualImaginary):
         ifft_mode3(h)
     ifft_mode3(h, tol=1e-4)  # loosened, passes
+
+
+def test_half_spectrum_inverse_rejects_nonreal_dc_and_nyquist():
+    # irfft would drop these imaginary parts without a word
+    for n3, k in ((1, 0), (2, 0), (2, 1), (3, 0), (4, 0), (4, 2), (5, 0)):
+        s = _to_spec(np.ones((2, 3, n3)))
+        s[k] += 1e-3j
+        with pytest.raises(ResidualImaginary):
+            _from_spec(s, n3)
+    # an interior slice has a conjugate partner outside the half spectrum
+    t = np.random.default_rng(8).standard_normal((2, 3, 5))
+    s = _to_spec(t)
+    assert rel_error(_from_spec(s, 5), t) <= 1e-12
+    s[2] += 1e-3j
+    _from_spec(s, 5)
 
 
 # -------------------------------------------------------------- ring algebra
@@ -182,6 +204,16 @@ def test_tpinv_penrose_laws():
         a = rng.standard_normal(dims)
         p = tpinv(a)
         assert p.shape == (dims[1], dims[0], dims[2])
+        assert rel_error(tprod(a, tprod(p, a)), a) <= 1e-8
+        assert rel_error(tprod(p, tprod(a, p)), p) <= 1e-8
+    # Fourier slices of rank 2 (tubal rank 2), or exactly zero: constant
+    # tubes leave only the DC slice, alternating tubes only the Nyquist slice
+    x = rng.standard_normal((4, 3, 1))
+    for a in (tprod(rng.standard_normal((5, 2, 4)), rng.standard_normal((2, 6, 4))),
+              tprod(rng.standard_normal((5, 2, 3)), rng.standard_normal((2, 6, 3))),
+              np.repeat(x, 3, axis=2), np.repeat(x, 4, axis=2),
+              x * np.array([1.0, -1.0, 1.0, -1.0])):
+        p = tpinv(a)
         assert rel_error(tprod(a, tprod(p, a)), a) <= 1e-8
         assert rel_error(tprod(p, tprod(a, p)), p) <= 1e-8
 
