@@ -20,7 +20,7 @@ import numpy as np
 
 from .decomp import tcur
 from .errors import DimMismatch
-from .tensor_ops import DEFAULT_SV_TOL_FACTOR, _as_tensor3, tprod
+from .tensor_ops import _as_tensor3, tprod
 
 #: Role order of the four attention projections within each layer's
 #: block of frontal slices. Fixed; recorded in checkpoints.
@@ -57,10 +57,6 @@ class StackingConfig:
             )
         if self.n_heads is not None and self.d % self.n_heads != 0:
             raise DimMismatch(f"d={self.d} not divisible by n_heads={self.n_heads}")
-
-    @property
-    def d_head(self) -> int | None:
-        return None if self.n_heads is None else self.d // self.n_heads
 
     @property
     def sa_shape(self) -> tuple[int, int, int]:
@@ -176,11 +172,7 @@ class Adapter:
     rank: int
 
 
-def init_adapter(
-    base: np.ndarray,
-    rank: int,
-    sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR,
-) -> Adapter:
+def init_adapter(base: np.ndarray, rank: int) -> Adapter:
     """Build an adapter from the tensor CUR decomposition of ``base``.
 
     The decomposition's sampled core is discarded: the adapter's U is a
@@ -191,7 +183,7 @@ def init_adapter(
         RankOutOfRange, ZeroTensor: propagated from the decomposition.
     """
     base = _as_tensor3(base, "base").copy()
-    f = tcur(base, rank, sv_tol_factor)
+    f = tcur(base, rank)
     c = f.C.copy()
     r = f.R.copy()
     for frozen in (base, c, r):
@@ -208,11 +200,6 @@ def delta(a: Adapter) -> np.ndarray:
 def effective_weights(a: Adapter) -> np.ndarray:
     """``base + C * U * R``, the weights the adapted model would run with."""
     return a.base + delta(a)
-
-
-def merge(a: Adapter) -> np.ndarray:
-    """Effective weights as a fresh writable tensor, for checkpoint export."""
-    return effective_weights(a)
 
 
 def core_entries(rank: int, n_slices: int) -> int:

@@ -6,9 +6,8 @@ sampled sub-tensors C = W(:, J, :), U = W(I, J, :), R = W(I, :, :) are
 extracted in the Fourier domain and transformed back, which coincides with
 spatial-domain index selection because the mode-3 FFT acts tube-wise.
 
-Reconstruction is ``C * pinv(U) * R`` under the t-product. A per-matrix
-variant (:func:`matrix_cur`) is the n3 = 1 specialization, kept as the
-baseline for slice-by-slice adaptation.
+Reconstruction is ``C * pinv(U) * R`` under the t-product. At n3 = 1 the
+t-product is the matrix product, so the same functions give per-matrix CUR.
 """
 
 from __future__ import annotations
@@ -45,24 +44,6 @@ class TcurFactors:
 
     C: np.ndarray
     U_core: np.ndarray
-    R: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    rank: int
-    sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR
-
-
-@dataclass(frozen=True)
-class MatrixCurFactors:
-    """Per-matrix CUR factors: frozen (C, R) plus the zero-initialized core.
-
-    U0 is the learnable core for slice-wise adaptation, all zeros at
-    construction; the sampled intersection W(I, J) is recoverable as
-    ``R[:, cols]``.
-    """
-
-    C: np.ndarray
-    U0: np.ndarray
     R: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -136,11 +117,7 @@ def _validate_index_set(idx, n: int, name: str) -> np.ndarray:
     return idx
 
 
-def tcur(
-    w: np.ndarray,
-    rank: int,
-    sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR,
-) -> TcurFactors:
+def tcur(w: np.ndarray, rank: int) -> TcurFactors:
     """Tensor CUR decomposition of ``w`` at the given rank.
 
     Columns are selected first, rows second (conditioned on the selected
@@ -150,8 +127,6 @@ def tcur(
     Args:
         w: tensor to decompose, (n1, n2, n3), nonzero.
         rank: number of columns and rows to sample, in [1, min(n1, n2)].
-        sv_tol_factor: singular-value truncation factor used when the
-            factors are later recomposed via the core pseudoinverse.
 
     Raises:
         RankOutOfRange: rank outside [1, min(n1, n2)].
@@ -174,7 +149,6 @@ def tcur(
         rows=rows,
         cols=cols,
         rank=rank,
-        sv_tol_factor=sv_tol_factor,
     )
 
 
@@ -186,38 +160,3 @@ def reconstruct(f: TcurFactors) -> np.ndarray:
     """
     u_pinv = tpinv(f.U_core, f.sv_tol_factor)
     return tprod(f.C, tprod(u_pinv, f.R))
-
-
-def matrix_cur(
-    w: np.ndarray,
-    rank: int,
-    sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR,
-) -> MatrixCurFactors:
-    """Per-matrix CUR with the same deterministic norm-top-r selection.
-
-    This is exactly the n3 = 1 specialization of :func:`tcur`: a length-1
-    DFT is the identity, so scores reduce to plain column/row norms. The
-    returned core U0 is the zero matrix, ready to be trained as the
-    learnable update ``W + C @ U @ R``.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise DimMismatch(f"matrix_cur expects a matrix, got shape {w.shape}")
-    f = tcur(w[:, :, None], rank, sv_tol_factor)
-    return MatrixCurFactors(
-        C=f.C[:, :, 0],
-        U0=np.zeros((rank, rank)),
-        R=f.R[:, :, 0],
-        rows=f.rows,
-        cols=f.cols,
-        rank=rank,
-        sv_tol_factor=sv_tol_factor,
-    )
-
-
-def matrix_cur_reconstruct(f: MatrixCurFactors) -> np.ndarray:
-    """``C @ pinv(W(I, J)) @ R`` for the per-matrix factors.
-
-    The sampled intersection W(I, J) is ``R[:, cols]``.
-    """
-    return f.C @ tpinv(f.R[:, f.cols, None], f.sv_tol_factor)[:, :, 0] @ f.R

@@ -197,17 +197,18 @@ def tpinv(a: np.ndarray, sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR) -> np.nda
     """Moore-Penrose pseudoinverse in the t-product sense.
 
     Computed slice-wise in the Fourier domain: each complex frontal slice
-    is pseudoinverted via its SVD, truncating singular values below
+    is pseudoinverted via its SVD, keeping only singular values above
     ``sv_tol_factor * max(n1, n2) * sigma_max``, then transformed back.
-    An all-zero slice inverts to zero.
+    sigma_max is the largest singular value over all slices (numpy's
+    ``pinv`` rule for the block-diagonal Fourier operator), so a slice that
+    is zero up to FFT rounding inverts to zero, as does an all-zero tensor.
 
     Satisfies the Penrose identities under the t-product:
     ``A * A+ * A == A`` and ``A+ * A * A+ == A+`` (up to rounding).
     """
     a = _as_tensor3(a)
     u, s, vh = np.linalg.svd(_to_spec(a), full_matrices=False)
-    smax = s[:, :1]  # per slice; singular values come sorted descending
-    keep = (s >= sv_tol_factor * max(a.shape[:2]) * smax) & (smax > 0.0)
+    keep = s > sv_tol_factor * max(a.shape[:2]) * s.max(initial=0.0)
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     pinv_hat = (vh.conj().swapaxes(1, 2) * inv_s[:, None, :]) @ u.conj().swapaxes(1, 2)
     return _from_spec(pinv_hat, a.shape[2])

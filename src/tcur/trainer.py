@@ -30,6 +30,11 @@ PLANT_MODES = ("in_span", "out_of_span")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Power iteration for the step size: steps, relative stopping change, and
+# the seed of the start vector.
+_POWER_ITERS = 20
+_POWER_REL_TOL = 1e-6
+_POWER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,6 @@ def make_task(
     rank: int,
     plant_mode: str = "in_span",
     seed: int = 0,
-    plant_scale: float = 1.0,
 ) -> SyntheticTask:
     """Build a synthetic fine-tuning task with a planted perturbation."""
     if plant_mode not in PLANT_MODES:
@@ -63,10 +67,10 @@ def make_task(
     base = rng.standard_normal(dims)
     if plant_mode == "in_span":
         f = tcur(base, rank)
-        g = plant_scale * rng.standard_normal((rank, rank, dims[2]))
+        g = rng.standard_normal((rank, rank, dims[2]))
         target = base + tprod(f.C, tprod(g, f.R))
     else:
-        target = base + plant_scale * rng.standard_normal(dims)
+        target = base + rng.standard_normal(dims)
     return SyntheticTask(
         base=base, target=target, plant_mode=plant_mode, seed=seed, plant_rank=rank
     )
@@ -129,32 +133,27 @@ def hessian_apply(a: Adapter, v: np.ndarray) -> np.ndarray:
     return grad_core(a, tprod(a.C, tprod(v, a.R)))
 
 
-def hessian_max_eig(
-    a: Adapter,
-    iters: int = 20,
-    rel_tol: float = 1e-6,
-    seed: int = 0,
-) -> float:
+def hessian_max_eig(a: Adapter) -> float:
     """Largest eigenvalue of the core Hessian, by power iteration."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(a.U.shape)
     v /= fro_norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         hv = hessian_apply(a, v)
         nrm = fro_norm(hv)
         if nrm == 0.0:
             return 0.0
         v = hv / nrm
-        if lam > 0.0 and abs(nrm - lam) <= rel_tol * nrm:
+        if lam > 0.0 and abs(nrm - lam) <= _POWER_REL_TOL * nrm:
             return nrm
         lam = nrm
     return lam
 
 
-def safe_step_size(a: Adapter, iters: int = 20, rel_tol: float = 1e-6, seed: int = 0) -> float:
+def safe_step_size(a: Adapter) -> float:
     """``1 / lambda_max`` of the core Hessian; monotone for gd on this loss."""
-    lam = hessian_max_eig(a, iters=iters, rel_tol=rel_tol, seed=seed)
+    lam = hessian_max_eig(a)
     if lam == 0.0:
         raise ValueError("zero curvature: adapter factors span nothing to train")
     return 1.0 / lam

@@ -9,6 +9,7 @@ has teeth; they are test hooks, not configuration.
 from __future__ import annotations
 
 import contextlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,21 +219,6 @@ def check_full_rank_recovery(seed, tol_scale):
     return err <= tol, f"full-selection recovery rel err {err:.2e} (tol {tol:.1e})"
 
 
-def check_matrix_specialization(seed, tol_scale):
-    rng = np.random.default_rng(seed)
-    w = _rand_t(rng, (6, 5, 1))[:, :, 0]
-    mf = decomp.matrix_cur(w, 2)
-    tf = decomp.tcur(w[:, :, None], 2)
-    ok = (
-        np.array_equal(mf.rows, tf.rows)
-        and np.array_equal(mf.cols, tf.cols)
-        and np.allclose(mf.C, tf.C[:, :, 0], rtol=0, atol=1e-14)
-        and np.allclose(mf.R, tf.R[:, :, 0], rtol=0, atol=1e-14)
-        and not mf.U0.any()
-    )
-    return ok, "matrix route matches the n3=1 tensor route, U0 all zero"
-
-
 # ------------------------------------------------------------------ adapters
 
 def check_zero_core_identity(seed, tol_scale):
@@ -344,12 +330,12 @@ def check_training_descent(seed, tol_scale):
 
 # ---------------------------------------------------------------- checkpoint
 
-def check_checkpoint_roundtrip(seed, tol_scale, tmp_dir=None):
+def check_checkpoint_roundtrip(seed, tol_scale):
     import tempfile
     from pathlib import Path
 
     rng = np.random.default_rng(seed)
-    with tempfile.TemporaryDirectory(dir=tmp_dir) as td:
+    with tempfile.TemporaryDirectory() as td:
         path = Path(td) / "t.tcur"
         w = _rand_t(rng, (4, 5, 3))
         ckpt.write_checkpoint(path, w)
@@ -387,7 +373,6 @@ CHECKS = {
     "sampling-commutation": check_sampling_commutation,
     "cur-exactness": check_cur_exactness,
     "full-rank-recovery": check_full_rank_recovery,
-    "matrix-specialization": check_matrix_specialization,
     "zero-core-identity": check_zero_core_identity,
     "delta-bilinearity": check_delta_bilinearity,
     "stack-roundtrip": check_stack_roundtrip,
@@ -461,16 +446,27 @@ FAULTS = {
 
 @contextlib.contextmanager
 def inject_fault(name: str):
-    """Temporarily replace one library function with a corrupted version."""
-    patches = FAULTS[name]()
-    saved = [(mod, attr, getattr(mod, attr)) for mod, attr, _ in patches]
+    """Temporarily replace one library function with a corrupted version.
+
+    Modules that from-import a function hold their own binding of it, so
+    the original is replaced in every loaded module of this package that
+    binds it; callers anywhere in the call graph then see the fault.
+    """
+    namespaces = [m for n, m in list(sys.modules.items())
+                  if m is not None and (n == __package__ or n.startswith(__package__ + "."))]
+    undo = []
     try:
-        for mod, attr, bad in patches:
-            setattr(mod, attr, bad)
+        for mod, attr, bad in FAULTS[name]():
+            good = getattr(mod, attr)
+            for ns in namespaces:
+                for key, val in list(vars(ns).items()):
+                    if val is good:
+                        undo.append((ns, key, good))
+                        setattr(ns, key, bad)
         yield
     finally:
-        for mod, attr, good in saved:
-            setattr(mod, attr, good)
+        for ns, key, good in reversed(undo):
+            setattr(ns, key, good)
 
 
 def run_suite(seed: int = 0, tol_scale: float = 1.0, fault: str | None = None) -> list[CheckResult]:

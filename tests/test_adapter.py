@@ -11,7 +11,6 @@ from tcur import (
     delta,
     effective_weights,
     init_adapter,
-    merge,
     stack_layers,
     tprod,
     unstack_layers,
@@ -27,7 +26,6 @@ def test_fresh_adapter_is_the_identity(dims, rank):
     assert not a.U.any()
     assert a.U.shape == (rank, rank, dims[2])
     assert np.array_equal(effective_weights(a), base)  # zero error, not approx
-    assert np.array_equal(merge(a), base)
 
 
 def test_adapter_factor_shapes():

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from tcur import Adapter, read_checkpoint
+from tcur import Adapter, grad_core, init_adapter, read_checkpoint, reconstruct, tcur
 from tcur.cli import main
+from tcur.verify import inject_fault
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +138,25 @@ def test_verify_fault_exits_three(capsys):
                            "--inject-fault", "scores-unnormalized")
     assert code == 3
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("fault", ["tprod-scale", "fft-normalized", "ttranspose-no-reverse"])
+def test_fault_hooks_reach_library_internals(fault):
+    # decomp, adapter and trainer hold their own bindings of the kernel
+    # functions; a hook must reach those too, and be fully undone after
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((6, 7, 4))
+    g = rng.standard_normal((6, 7, 4))
+
+    def downstream():
+        f = tcur(w, 3)
+        return reconstruct(f), grad_core(init_adapter(w, 3), g), f.C
+
+    clean = downstream()
+    with inject_fault(fault):
+        faulty = downstream()
+    assert any(not np.array_equal(x, y) for x, y in zip(clean, faulty))
+    assert all(np.array_equal(x, y) for x, y in zip(clean, downstream()))
 
 
 # -------------------------------------------------------------- exit codes

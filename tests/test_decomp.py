@@ -6,8 +6,6 @@ from tcur import (
     ZeroTensor,
     column_scores,
     fft_mode3,
-    matrix_cur,
-    matrix_cur_reconstruct,
     reconstruct,
     rel_error,
     row_scores,
@@ -126,6 +124,10 @@ def test_exact_reconstruction_at_true_tubal_rank():
         w = low_tubal_rank(rng, n1, n2, n3, r)
         f = tcur(w, r)
         assert rel_error(reconstruct(f), w) <= 1e-8
+    # n3 = 1 is matrix CUR: a rank-3 matrix is recovered from 3 rows and columns
+    rng = np.random.default_rng(31)
+    w = (rng.standard_normal((8, 3)) @ rng.standard_normal((3, 9)))[:, :, None]
+    assert np.abs(reconstruct(tcur(w, 3)) - w).max() / np.abs(w).max() <= 1e-8
 
 
 def test_full_selection_recovers_any_tensor():
@@ -144,24 +146,3 @@ def test_factor_shapes_and_immutability():
     assert f.rank == 2
     with pytest.raises(AttributeError):
         f.rank = 3  # frozen dataclass
-
-
-def test_matrix_cur_matches_single_slice_tensor_route():
-    rng = np.random.default_rng(29)
-    w = rng.standard_normal((6, 5))
-    mf = matrix_cur(w, 2)
-    tf = tcur(w[:, :, None], 2)
-    assert np.array_equal(mf.rows, tf.rows)
-    assert np.array_equal(mf.cols, tf.cols)
-    assert np.allclose(mf.C, tf.C[:, :, 0], atol=1e-14)
-    assert np.allclose(mf.R, tf.R[:, :, 0], atol=1e-14)
-    assert mf.U0.shape == (2, 2)
-    assert not mf.U0.any()
-
-
-def test_matrix_cur_exact_on_low_rank_matrix():
-    rng = np.random.default_rng(31)
-    w = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 9))
-    mf = matrix_cur(w, 3)
-    got = matrix_cur_reconstruct(mf)
-    assert np.abs(got - w).max() / np.abs(w).max() <= 1e-8

@@ -207,12 +207,15 @@ def test_tpinv_penrose_laws():
         assert rel_error(tprod(a, tprod(p, a)), a) <= 1e-8
         assert rel_error(tprod(p, tprod(a, p)), p) <= 1e-8
     # Fourier slices of rank 2 (tubal rank 2), or exactly zero: constant
-    # tubes leave only the DC slice, alternating tubes only the Nyquist slice
+    # tubes leave only the DC slice, alternating tubes only the Nyquist slice;
+    # zero-mean tubes leave a DC slice that is zero up to FFT rounding
     x = rng.standard_normal((4, 3, 1))
+    z = np.random.default_rng(0).standard_normal((3, 3, 5))
+    z -= z.mean(axis=2, keepdims=True)
     for a in (tprod(rng.standard_normal((5, 2, 4)), rng.standard_normal((2, 6, 4))),
               tprod(rng.standard_normal((5, 2, 3)), rng.standard_normal((2, 6, 3))),
               np.repeat(x, 3, axis=2), np.repeat(x, 4, axis=2),
-              x * np.array([1.0, -1.0, 1.0, -1.0])):
+              x * np.array([1.0, -1.0, 1.0, -1.0]), z):
         p = tpinv(a)
         assert rel_error(tprod(a, tprod(p, a)), a) <= 1e-8
         assert rel_error(tprod(p, tprod(a, p)), p) <= 1e-8
