@@ -155,6 +155,8 @@ def read_checkpoint(path):
         meta = json.loads(data[meta_start:payload_start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptCheckpoint(f"meta JSON unreadable: {e}") from e
+    if not isinstance(meta, dict):
+        raise CorruptCheckpoint(f"meta JSON is a {type(meta).__name__}, not an object")
 
     if meta.get("layout") != LAYOUT:
         raise CorruptCheckpoint(f"unknown tensor layout {meta.get('layout')!r}")
@@ -165,13 +167,16 @@ def read_checkpoint(path):
     tensors: dict[str, np.ndarray] = {}
     offset = payload_start
     for entry in manifest:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CorruptCheckpoint(f"bad manifest entry: {entry!r}")
         dims = entry.get("dims", [])
-        if len(dims) != 3 or any(not isinstance(d, int) or d < 1 for d in dims):
+        if (not isinstance(dims, list) or len(dims) != 3
+                or any(not isinstance(d, int) or d < 1 for d in dims)):
             raise CorruptCheckpoint(f"bad dims in manifest: {dims}")
         nbytes = 8 * dims[0] * dims[1] * dims[2]
         if offset + nbytes > len(data) - 4:
             raise CorruptCheckpoint("tensor payload overruns file")
-        tensors[entry.get("name")] = _tensor_from_bytes(
+        tensors[entry["name"]] = _tensor_from_bytes(
             data[offset:offset + nbytes], tuple(dims)
         )
         offset += nbytes

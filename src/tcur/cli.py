@@ -21,6 +21,7 @@ from . import report as rpt
 from . import trainer
 from . import verify
 from .errors import CheckpointError, TcurError
+from .tensor_ops import rel_error, tprod
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the full invariant suite")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=1.0,
-                   help="scale factor applied to every tolerance")
     v.add_argument("--inject-fault", choices=sorted(verify.FAULTS), default=None,
                    help="test hook: corrupt one library function for this run")
 
@@ -120,7 +119,6 @@ def cmd_gen(args) -> int:
         r = args.tubal_rank
         if r > min(n1, n2):
             raise TcurError(f"tubal rank {r} exceeds min(n1, n2) = {min(n1, n2)}")
-        from .tensor_ops import tprod
         w = tprod(rng.standard_normal((n1, r, n3)), rng.standard_normal((r, n2, n3)))
     else:
         w = rng.standard_normal((n1, n2, n3))
@@ -153,17 +151,15 @@ def cmd_reconstruct(args) -> int:
         ref = ckpt.read_checkpoint(args.reference)
         if not isinstance(ref, np.ndarray):
             raise TcurError(f"{args.reference} is not a raw tensor checkpoint")
-        from .tensor_ops import rel_error
         summary["rel_error"] = rel_error(w, ref)
     print(json.dumps(summary))
     return 0
 
 
 def cmd_verify(args) -> int:
-    print(f"seed {args.seed}  tol-scale {args.tol:g}"
+    print(f"seed {args.seed}"
           + (f"  injected-fault {args.inject_fault}" if args.inject_fault else ""))
-    results = verify.run_suite(seed=args.seed, tol_scale=args.tol,
-                               fault=args.inject_fault)
+    results = verify.run_suite(seed=args.seed, fault=args.inject_fault)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:

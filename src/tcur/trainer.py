@@ -16,7 +16,7 @@ no monotonicity promise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -204,8 +204,8 @@ def train(
 
     m = np.zeros_like(a.U)
     v = np.zeros_like(a.U)
+    residual = effective_weights(a) - task.target
     for t in range(1, steps + 1):
-        residual = effective_weights(a) - task.target
         grad = grad_core(a, residual)
         if optimizer == "gd":
             a.U = a.U - lr * grad
@@ -215,7 +215,9 @@ def train(
             m_hat = m / (1.0 - ADAM_BETA1**t)
             v_hat = v / (1.0 - ADAM_BETA2**t)
             a.U = a.U - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        loss = task_loss(a, task)
+        # The post-update residual is also the next step's gradient input.
+        residual = effective_weights(a) - task.target
+        loss = 0.5 * float(np.sum(residual * residual))  # == task_loss(a, task)
         history.loss.append(loss)
         history.grad_norm.append(fro_norm(grad))
         history.step_size.append(lr)
@@ -232,27 +234,19 @@ def _fit_tcur(task: SyntheticTask, rank: int, steps: int, rel_stop: float) -> tu
     a = init_adapter(task.base, rank)
     lr = safe_step_size(a)
     hist = train(a, task, steps=steps, lr=lr, optimizer="gd", rel_stop=rel_stop)
-    n3 = task.base.shape[2]
-    return hist.loss[-1], core_entries(rank, n3)
+    return hist.loss[-1], core_entries(rank, task.base.shape[2])
 
 
 def _fit_matrix_cur(task: SyntheticTask, rank: int, steps: int, rel_stop: float) -> tuple[float, int]:
     # One independent n3 = 1 adapter per frontal slice; the quadratic loss
     # decomposes slice-wise, so the total is the sum of per-slice finals.
-    n3 = task.base.shape[2]
-    total = 0.0
-    for k in range(n3):
-        base_k = task.base[:, :, k:k + 1].copy()
-        target_k = task.target[:, :, k:k + 1].copy()
-        a_k = init_adapter(base_k, rank)
-        task_k = SyntheticTask(
-            base=base_k, target=target_k, plant_mode=task.plant_mode,
-            seed=task.seed, plant_rank=rank,
-        )
-        lr = safe_step_size(a_k)
-        hist = train(a_k, task_k, steps=steps, lr=lr, optimizer="gd", rel_stop=rel_stop)
-        total += hist.loss[-1]
-    return total, n3 * rank * rank
+    fits = [
+        _fit_tcur(replace(task, base=task.base[:, :, k:k + 1].copy(),
+                          target=task.target[:, :, k:k + 1].copy(), plant_rank=rank),
+                  rank, steps, rel_stop)
+        for k in range(task.base.shape[2])
+    ]
+    return sum(loss for loss, _ in fits), sum(params for _, params in fits)
 
 
 def run_baselines(
@@ -268,45 +262,16 @@ def run_baselines(
     run gradient descent with their safe step sizes and an early stop.
     """
     dims = task.base.shape
+    fits = (
+        ("full", lambda: (loss_tensor_target(task.target, task.target), int(np.prod(dims)))),
+        ("matrix_cur", lambda: _fit_matrix_cur(task, rank, steps, rel_stop)),
+        ("tcur", lambda: _fit_tcur(task, rank, steps, rel_stop)),
+    )
     records = []
-
-    t0 = time.perf_counter()
-    full_loss = loss_tensor_target(task.target, task.target)
-    records.append(
-        ReportRecord(
-            method="full",
-            params=int(np.prod(dims)),
-            metric=full_loss,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            rank=rank,
-            dims=dims,
-        )
-    )
-
-    t0 = time.perf_counter()
-    mc_loss, mc_params = _fit_matrix_cur(task, rank, steps, rel_stop)
-    records.append(
-        ReportRecord(
-            method="matrix_cur",
-            params=mc_params,
-            metric=mc_loss,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            rank=rank,
-            dims=dims,
-        )
-    )
-
-    t0 = time.perf_counter()
-    tc_loss, tc_params = _fit_tcur(task, rank, steps, rel_stop)
-    records.append(
-        ReportRecord(
-            method="tcur",
-            params=tc_params,
-            metric=tc_loss,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            rank=rank,
-            dims=dims,
-        )
-    )
-
+    for method, fit in fits:
+        t0 = time.perf_counter()
+        loss, params = fit()
+        records.append(ReportRecord(method=method, params=params, metric=loss,
+                                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                                    rank=rank, dims=dims))
     return ComparisonReport(records=records, seed=task.seed, rank=rank, dims=dims)

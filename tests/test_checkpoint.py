@@ -205,6 +205,21 @@ def test_bad_manifest_dims_rejected(tmp_path, dims):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("meta", [
+    [],
+    "hi",
+    {**raw_meta((1, 1, 1)), "tensors": [1]},
+    {**raw_meta((1, 1, 1)), "tensors": [{"name": ["tensor"], "dims": [1, 1, 1]}]},
+    {**raw_meta((1, 1, 1)), "tensors": [{"name": "tensor", "dims": 5}]},
+], ids=["meta-list", "meta-str", "entry-int", "name-list", "dims-int"])
+def test_non_object_meta_or_manifest_entry_rejected(tmp_path, meta):
+    # valid CRC, so only the structural checks can catch these
+    path = tmp_path / "w.tcur"
+    path.write_bytes(craft(meta, struct.pack("<d", 5.0)))
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
 def test_payload_length_mismatch_rejected(tmp_path):
     path = tmp_path / "w.tcur"
     # declares 1x1x1 (8 bytes) but carries 16

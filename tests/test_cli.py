@@ -169,6 +169,7 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
         ("decompose", str(tmp_path / "w.tcur"), "--rank", "0", "--out", "x"),
         ("finetune", "--optimizer", "newton"),
         ("verify", "--inject-fault", "not-a-fault"),
+        ("verify", "--tol", "10"),                                   # no such flag
     ]
     for argv in bad_calls:
         code = main(list(argv))

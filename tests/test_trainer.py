@@ -103,6 +103,7 @@ def test_safe_step_descent_is_monotone_and_leaves_factors_alone():
     assert all(b <= x for x, b in zip(seq, seq[1:]))
     assert hist.loss[-1] < 1e-3 * hist.initial_loss
     assert (a.C.tobytes(), a.R.tobytes(), a.base.tobytes()) == frozen
+    assert hist.loss[-1] == task_loss(a, task)  # the post-update loss, exactly
 
 
 def test_in_span_task_trains_to_numerical_zero():
@@ -125,6 +126,7 @@ def test_adam_descends():
     a = init_adapter(task.base, 3)
     hist = train(a, task, steps=800, lr=0.05, optimizer="adam")
     assert hist.loss[-1] < 1e-2 * hist.initial_loss
+    assert hist.loss[-1] == task_loss(a, task)
 
 
 def test_divergence_guard_trips():
