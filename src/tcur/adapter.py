@@ -161,7 +161,7 @@ def unstack_layers(
 class Adapter:
     """Frozen (base, C, R) plus the learnable core U.
 
-    C and R are construction-time copies marked read-only; training only
+    Construction marks base, C and R read-only in place; training only
     ever reassigns U. A zero U makes the adapter a no-op.
     """
 
@@ -170,6 +170,10 @@ class Adapter:
     R: np.ndarray      # (rank, n2, n3), frozen
     U: np.ndarray      # (rank, rank, n3), learnable
     rank: int
+
+    def __post_init__(self):
+        for frozen in (self.base, self.C, self.R):
+            frozen.setflags(write=False)
 
 
 def init_adapter(base: np.ndarray, rank: int) -> Adapter:
@@ -180,16 +184,13 @@ def init_adapter(base: np.ndarray, rank: int) -> Adapter:
     effective weights start exactly equal to the base.
 
     Raises:
-        RankOutOfRange, ZeroTensor: propagated from the decomposition.
+        NonFiniteInput, RankOutOfRange, ZeroTensor: propagated from the
+            decomposition.
     """
     base = _as_tensor3(base, "base").copy()
     f = tcur(base, rank)
-    c = f.C.copy()
-    r = f.R.copy()
-    for frozen in (base, c, r):
-        frozen.setflags(write=False)
     n3 = base.shape[2]
-    return Adapter(base=base, C=c, R=r, U=np.zeros((rank, rank, n3)), rank=rank)
+    return Adapter(base=base, C=f.C.copy(), R=f.R.copy(), U=np.zeros((rank, rank, n3)), rank=rank)
 
 
 def delta(a: Adapter) -> np.ndarray:

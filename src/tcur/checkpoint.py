@@ -14,7 +14,9 @@ Layout (all integers little-endian u32):
     last 4          CRC-32 over everything between the magic and this field
 
 Round trips are byte-exact: doubles are written verbatim and the meta JSON
-is rendered deterministically.
+is rendered deterministically. One table (``_KINDS``) and one encoder
+(``_encode``) serve both directions, so the reader accepts exactly what
+the writer writes.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ from .errors import CorruptCheckpoint, UnsupportedVersion
 MAGIC = b"TCUR"
 VERSION = 1
 
-KIND_RAW = 0
-KIND_FACTORS = 1
-KIND_ADAPTER = 2
-_KIND_NAMES = {KIND_RAW: "raw_tensor", KIND_FACTORS: "tcur_factors", KIND_ADAPTER: "adapter"}
-
 #: Byte order of every tensor payload; part of the format.
 LAYOUT = "slice-major:frontal-slice-contiguous,row-major-within-slice,f64-le"
 #: Slice ordering law for stacked attention weights; recorded so files are
@@ -46,87 +43,96 @@ STACK_ORDER = "layer-major;roles=q,k,v,o"
 
 _HEADER = struct.Struct("<III")  # version, kind, meta_len
 
+#: kind code -> (name, payload type, {tensor: dims} in file order,
+#: {meta field: the type it is held as}). Each dim is a symbol shared by
+#: the kind's tensors; "r" is the rank.
+_KINDS = {
+    0: ("raw_tensor", np.ndarray, {"tensor": "abc"}, {}),
+    1: ("tcur_factors", TcurFactors, {"C": "arc", "U_core": "rrc", "R": "rbc"},
+        {"rank": int, "rows": np.intp, "cols": np.intp, "sv_tol_factor": float}),
+    2: ("adapter", Adapter, {"base": "abc", "C": "arc", "R": "rbc", "U": "rrc"},
+        {"rank": int}),
+}
 
-def _tensor_bytes(t: np.ndarray) -> bytes:
-    # (n1, n2, n3) -> slice-major: slice k contiguous, row-major within.
-    return np.ascontiguousarray(t.transpose(2, 0, 1)).astype("<f8").tobytes()
 
+def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
+    """Validate a payload; returns (kind, meta JSON bytes, tensors in file order).
 
-def _tensor_from_bytes(buf: bytes, dims: tuple[int, int, int]) -> np.ndarray:
-    n1, n2, n3 = dims
-    flat = np.frombuffer(buf, dtype="<f8")
-    return flat.reshape(n3, n1, n2).transpose(1, 2, 0).copy()
-
-
-def _check_writable_payload(tensors: dict[str, np.ndarray]) -> None:
-    for name, t in tensors.items():
-        t = np.asarray(t)
-        if t.ndim != 3:
-            raise ValueError(f"checkpoint tensor {name!r} must be third-order, got {t.shape}")
+    Raises:
+        TypeError: not a raw tensor, TcurFactors, or Adapter.
+        ValueError: a tensor is not third-order with positive dims or has
+            non-finite entries; dims disagree across tensors or with the
+            rank; an index set is not ``rank`` ascending in-range indices;
+            ``sv_tol_factor`` is not finite and >= 0.
+    """
+    kind = next((k for k, spec in _KINDS.items() if isinstance(payload, spec[1])), None)
+    if kind is None:
+        raise TypeError(f"unsupported checkpoint payload type: {type(payload).__name__}")
+    name, ptype, dims, fields = _KINDS[kind]
+    parts = {"tensor": payload} if ptype is np.ndarray else vars(payload)
+    extras = {f: held(parts[f]) for f, held in fields.items()}
+    size = {"r": extras["rank"]} if "rank" in extras else {}
+    tensors = {}
+    for tname, symbols in dims.items():
+        t = tensors[tname] = np.asarray(parts[tname], dtype=np.float64)
+        if (t.ndim != 3 or min(t.shape) < 1
+                or any(size.setdefault(s, n) != n for s, n in zip(symbols, t.shape))):
+            raise ValueError(f"checkpoint tensor {tname!r} has shape {t.shape}, "
+                             f"not ({', '.join(symbols)}) with {size}")
         if not np.isfinite(t).all():
-            raise ValueError(f"checkpoint tensor {name!r} contains non-finite entries")
-
-
-def _payload_parts(payload) -> tuple[int, dict, dict[str, np.ndarray]]:
-    """Split a payload object into (kind, meta-extras, named tensors)."""
-    if isinstance(payload, np.ndarray):
-        t = np.asarray(payload, dtype=np.float64)
-        return KIND_RAW, {}, {"tensor": t}
-    if isinstance(payload, TcurFactors):
-        extras = {
-            "rank": int(payload.rank),
-            "rows": [int(i) for i in payload.rows],
-            "cols": [int(j) for j in payload.cols],
-            "sv_tol_factor": float(payload.sv_tol_factor),
-        }
-        return KIND_FACTORS, extras, {
-            "C": payload.C, "U_core": payload.U_core, "R": payload.R,
-        }
-    if isinstance(payload, Adapter):
-        extras = {"rank": int(payload.rank)}
-        return KIND_ADAPTER, extras, {
-            "base": payload.base, "C": payload.C, "R": payload.R, "U": payload.U,
-        }
-    raise TypeError(f"unsupported checkpoint payload type: {type(payload).__name__}")
+            raise ValueError(f"checkpoint tensor {tname!r} contains non-finite entries")
+    for f, s in (("rows", "a"), ("cols", "b")):
+        idx = extras.get(f)
+        if idx is not None and (idx.shape != (size["r"],) or idx[0] < 0
+                                or idx[-1] >= size[s] or (np.diff(idx) <= 0).any()):
+            raise ValueError(f"{f} must be {size['r']} ascending indices below {size[s]}")
+    if not 0.0 <= extras.get("sv_tol_factor", 0.0) < np.inf:
+        raise ValueError(f"sv_tol_factor {extras['sv_tol_factor']} is not finite and >= 0")
+    meta = {
+        "kind": name,
+        "layout": LAYOUT,
+        "stack_order": STACK_ORDER,
+        "tensors": [{"name": n, "dims": list(t.shape)} for n, t in tensors.items()],
+        **{f: v.tolist() if isinstance(v, np.ndarray) else v for f, v in extras.items()},
+    }
+    return kind, json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"), tensors
 
 
 def write_checkpoint(path, payload) -> None:
     """Serialize a raw tensor, TcurFactors, or Adapter to ``path``.
 
+    The payload is validated before the file is opened, then streamed one
+    tensor at a time with a running CRC.
+
     Raises:
-        ValueError: payload violates its invariants (shape, finiteness).
+        TypeError: unsupported payload type.
+        ValueError: payload violates its invariants (see ``_encode``).
         OSError: the file cannot be written.
     """
-    kind, extras, tensors = _payload_parts(payload)
-    _check_writable_payload(tensors)
-
-    meta = {
-        "kind": _KIND_NAMES[kind],
-        "layout": LAYOUT,
-        "stack_order": STACK_ORDER,
-        "tensors": [
-            {"name": name, "dims": [int(d) for d in np.asarray(t).shape]}
-            for name, t in tensors.items()
-        ],
-    }
-    meta.update(extras)
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    body = _HEADER.pack(VERSION, kind, len(meta_bytes)) + meta_bytes
-    for t in tensors.values():
-        body += _tensor_bytes(np.asarray(t, dtype=np.float64))
-    crc = zlib.crc32(body) & 0xFFFFFFFF
-    Path(path).write_bytes(MAGIC + body + struct.pack("<I", crc))
+    kind, meta, tensors = _encode(payload)
+    head = _HEADER.pack(VERSION, kind, len(meta)) + meta
+    crc = zlib.crc32(head)
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + head)
+        for t in tensors.values():
+            # (n1, n2, n3) -> slice-major: slice k contiguous, row-major within.
+            t = np.ascontiguousarray(t.transpose(2, 0, 1), dtype="<f8")
+            crc = zlib.crc32(t, crc)
+            fh.write(t)
+        fh.write(struct.pack("<I", crc))
 
 
 def read_checkpoint(path):
     """Deserialize; returns an ndarray, TcurFactors, or Adapter.
 
-    Validates magic, version, checksum, and dims before constructing any
-    value.
+    Checks magic, version, checksum, and that the manifest's dims cover
+    the payload exactly, then rebuilds the payload and accepts it only if
+    the writer would write this same file for it: every rule the writer
+    enforces holds, and the meta JSON is the canonical rendering.
 
     Raises:
-        CorruptCheckpoint: bad magic, checksum, or structural metadata.
+        CorruptCheckpoint: bad magic, checksum, structure, or a payload or
+            meta the writer would not have produced.
         UnsupportedVersion: recognized container, unknown version.
         OSError: the file cannot be read.
     """
@@ -140,19 +146,20 @@ def read_checkpoint(path):
     if version != VERSION:
         raise UnsupportedVersion(f"format version {version}, expected {VERSION}")
 
-    body = data[4:-4]
-    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
+    end = len(data) - 4
+    (stored_crc,) = struct.unpack_from("<I", data, end)
+    if zlib.crc32(memoryview(data)[4:end]) != stored_crc:
         raise CorruptCheckpoint("CRC-32 mismatch")
 
-    if kind not in _KIND_NAMES:
+    if kind not in _KINDS:
         raise CorruptCheckpoint(f"unknown payload kind {kind}")
     meta_start = 4 + _HEADER.size
     payload_start = meta_start + meta_len
-    if payload_start > len(data) - 4:
+    if payload_start > end:
         raise CorruptCheckpoint("meta length overruns file")
+    meta_bytes = data[meta_start:payload_start]
     try:
-        meta = json.loads(data[meta_start:payload_start].decode("utf-8"))
+        meta = json.loads(meta_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptCheckpoint(f"meta JSON unreadable: {e}") from e
     if not isinstance(meta, dict):
@@ -164,7 +171,7 @@ def read_checkpoint(path):
     manifest = meta.get("tensors")
     if not isinstance(manifest, list) or not manifest:
         raise CorruptCheckpoint("missing tensor manifest")
-    tensors: dict[str, np.ndarray] = {}
+    parts = {}
     offset = payload_start
     for entry in manifest:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
@@ -173,41 +180,21 @@ def read_checkpoint(path):
         if (not isinstance(dims, list) or len(dims) != 3
                 or any(not isinstance(d, int) or d < 1 for d in dims)):
             raise CorruptCheckpoint(f"bad dims in manifest: {dims}")
-        nbytes = 8 * dims[0] * dims[1] * dims[2]
-        if offset + nbytes > len(data) - 4:
+        n1, n2, n3 = dims
+        if offset + 8 * n1 * n2 * n3 > end:
             raise CorruptCheckpoint("tensor payload overruns file")
-        tensors[entry["name"]] = _tensor_from_bytes(
-            data[offset:offset + nbytes], tuple(dims)
-        )
-        offset += nbytes
-    if offset != len(data) - 4:
-        raise CorruptCheckpoint(
-            f"payload length mismatch: manifest ends at {offset}, file at {len(data) - 4}"
-        )
-    for name, t in tensors.items():
-        if not np.isfinite(t).all():
-            raise CorruptCheckpoint(f"tensor {name!r} contains non-finite entries")
+        flat = np.frombuffer(data, dtype="<f8", count=n1 * n2 * n3, offset=offset)
+        parts[entry["name"]] = flat.reshape(n3, n1, n2).transpose(1, 2, 0).copy()
+        offset += 8 * n1 * n2 * n3
+    if offset != end:
+        raise CorruptCheckpoint(f"payload length mismatch: manifest ends at {offset}, file at {end}")
 
+    _, ptype, _, fields = _KINDS[kind]
     try:
-        return _assemble(kind, meta, tensors)
-    except (KeyError, TypeError, ValueError) as e:
+        parts.update((f, held(meta[f])) for f, held in fields.items())
+        payload = parts["tensor"] if ptype is np.ndarray else ptype(**parts)
+        if _encode(payload)[1] != meta_bytes:
+            raise ValueError("meta is not what the writer renders for this payload")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"inconsistent metadata: {e}") from e
-
-
-def _assemble(kind: int, meta: dict, tensors: dict[str, np.ndarray]):
-    if kind == KIND_RAW:
-        return tensors["tensor"]
-    if kind == KIND_FACTORS:
-        return TcurFactors(
-            C=tensors["C"],
-            U_core=tensors["U_core"],
-            R=tensors["R"],
-            rows=np.asarray(meta["rows"], dtype=np.intp),
-            cols=np.asarray(meta["cols"], dtype=np.intp),
-            rank=int(meta["rank"]),
-            sv_tol_factor=float(meta["sv_tol_factor"]),
-        )
-    base, c, r = tensors["base"], tensors["C"], tensors["R"]
-    for frozen in (base, c, r):
-        frozen.setflags(write=False)
-    return Adapter(base=base, C=c, R=r, U=tensors["U"], rank=int(meta["rank"]))
+    return payload

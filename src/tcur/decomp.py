@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, RankOutOfRange, ZeroTensor
+from .errors import DimMismatch, NonFiniteInput, RankOutOfRange, ZeroTensor
 from .tensor_ops import (
     DEFAULT_SV_TOL_FACTOR,
     _as_tensor3,
@@ -129,10 +129,13 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
         rank: number of columns and rows to sample, in [1, min(n1, n2)].
 
     Raises:
+        NonFiniteInput: w has a NaN or infinite entry.
         RankOutOfRange: rank outside [1, min(n1, n2)].
         ZeroTensor: w has zero norm.
     """
     w = _as_tensor3(w, "w")
+    if not np.isfinite(w).all():
+        raise NonFiniteInput("cannot decompose a tensor with NaN or infinite entries")
     n1, n2, _ = w.shape
     if not 1 <= rank <= min(n1, n2):
         raise RankOutOfRange(f"rank {rank} outside [1, {min(n1, n2)}] for dims {w.shape}")

@@ -17,6 +17,10 @@ class ResidualImaginary(TcurError):
     """
 
 
+class NonFiniteInput(TcurError):
+    """A NaN or infinite entry where finite values are required."""
+
+
 class ZeroTensor(TcurError):
     """An all-zero tensor where a nonzero one is required."""
 

@@ -5,12 +5,18 @@ layout with struct/json/zlib only, so these tests hold the writer and
 reader to the format, not to each other.
 """
 
+import dataclasses
 import json
 import struct
+import tempfile
+import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcur import (
     Adapter,
@@ -26,10 +32,16 @@ from tcur import (
 )
 
 LAYOUT = "slice-major:frontal-slice-contiguous,row-major-within-slice,f64-le"
+KIND_NAMES = ("raw_tensor", "tcur_factors", "adapter")
 
 
-def craft(meta: dict, payload: bytes, version: int = 1, kind: int = 0) -> bytes:
-    meta_b = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def render(meta: dict) -> bytes:
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def craft(meta, payload: bytes, version: int = 1, kind: int = 0) -> bytes:
+    """A container around ``meta`` (a dict to render, or raw bytes)."""
+    meta_b = meta if isinstance(meta, bytes) else render(meta)
     body = struct.pack("<III", version, kind, len(meta_b)) + meta_b + payload
     return b"TCUR" + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
@@ -41,6 +53,42 @@ def raw_meta(dims) -> dict:
         "stack_order": "layer-major;roles=q,k,v,o",
         "tensors": [{"name": "tensor", "dims": list(dims)}],
     }
+
+
+def slice_major(t: np.ndarray) -> bytes:
+    n1, n2, n3 = t.shape
+    return b"".join(struct.pack("<d", t[i, j, k])
+                    for k in range(n3) for i in range(n1) for j in range(n2))
+
+
+def craft_kind(kind: int, tensors: dict, extras: dict) -> bytes:
+    """A file of ``kind`` built from the layout: manifest in dict order."""
+    meta = {
+        **raw_meta((1, 1, 1)),
+        "kind": KIND_NAMES[kind],
+        "tensors": [{"name": n, "dims": list(t.shape)} for n, t in tensors.items()],
+        **extras,
+    }
+    payload = b"".join(slice_major(t) for t in tensors.values())
+    return craft(meta, payload, kind=kind)
+
+
+def factor_parts(f: TcurFactors) -> tuple[dict, dict]:
+    tensors = {"C": f.C, "U_core": f.U_core, "R": f.R}
+    extras = {"rank": f.rank, "rows": [int(i) for i in f.rows],
+              "cols": [int(j) for j in f.cols], "sv_tol_factor": f.sv_tol_factor}
+    return tensors, extras
+
+
+def adapter_parts(a: Adapter) -> tuple[dict, dict]:
+    return {"base": a.base, "C": a.C, "R": a.R, "U": a.U}, {"rank": a.rank}
+
+
+def trained_adapter(seed: int) -> Adapter:
+    rng = np.random.default_rng(seed)
+    a = init_adapter(rng.standard_normal((4, 5, 2)), 2)
+    a.U = rng.standard_normal(a.U.shape)
+    return a
 
 
 # ------------------------------------------------------------- round trips
@@ -149,6 +197,47 @@ def test_reader_accepts_independently_crafted_file(tmp_path):
     assert np.array_equal(read_checkpoint(path), t)
 
 
+def test_writer_matches_independently_crafted_factors_and_adapter(tmp_path):
+    f = tcur(np.random.default_rng(8).standard_normal((5, 6, 3)), 2)
+    a = trained_adapter(9)
+    cases = [
+        (f, craft_kind(1, *factor_parts(f))),
+        (a, craft_kind(2, *adapter_parts(a))),
+    ]
+    path = tmp_path / "w.tcur"
+    for payload, want in cases:
+        write_checkpoint(path, payload)
+        assert path.read_bytes() == want
+        back = read_checkpoint(path)
+        write_checkpoint(path, back)
+        assert path.read_bytes() == want
+
+
+# ------------------------------------------------------ memory high-water
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", [0, 2])
+def test_write_and_read_peak_memory(tmp_path, kind):
+    # The writer holds one slice-major tensor at a time; the reader holds
+    # the file bytes plus the arrays it returns.
+    a = init_adapter(np.random.default_rng(10).standard_normal((96, 96, 16)), 8)
+    payload = a.base if kind == 0 else a
+    path = tmp_path / "big.tcur"
+    write_peak = _traced_peak(lambda: write_checkpoint(path, payload))
+    size = path.stat().st_size
+    read_peak = _traced_peak(lambda: read_checkpoint(path))
+    assert write_peak <= 1.1 * size, f"write peak {write_peak / size:.2f}x file size"
+    assert read_peak <= 2.2 * size, f"read peak {read_peak / size:.2f}x file size"
+
+
 # ------------------------------------------------------------- corruption
 
 def test_every_single_byte_flip_is_detected(tmp_path):
@@ -243,12 +332,134 @@ def test_writer_rejects_bad_payloads(tmp_path):
     path = tmp_path / "w.tcur"
     with pytest.raises(ValueError):
         write_checkpoint(path, np.ones((3, 3)))  # not third-order
+    with pytest.raises(ValueError):
+        write_checkpoint(path, np.ones((0, 2, 2)))  # a file the reader would refuse
     bad = np.ones((2, 2, 2))
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError):
         write_checkpoint(path, bad)
     with pytest.raises(TypeError):
         write_checkpoint(path, {"not": "a payload"})
+
+
+@pytest.mark.parametrize("case", ["repeated-name", "junk-then-tensor", "kind-disagrees"])
+def test_manifest_the_writer_would_not_write_rejected(tmp_path, case):
+    one, two = np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 2.0)
+    if case == "kind-disagrees":
+        raw = craft({**raw_meta((1, 1, 1)), "kind": "adapter"}, slice_major(one))
+    else:
+        first = "tensor" if case == "repeated-name" else "junk"
+        raw = craft({**raw_meta((1, 1, 1)),
+                     "tensors": [{"name": first, "dims": [1, 1, 1]},
+                                 {"name": "tensor", "dims": [1, 1, 1]}]},
+                    slice_major(one) + slice_major(two))
+    path = tmp_path / "w.tcur"
+    path.write_bytes(raw)
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta", [
+    render({**raw_meta((1, 1, 1)), "extra": 1}),
+    render({**raw_meta((1, 1, 1)), "stack_order": "role-major"}),
+    json.dumps(raw_meta((1, 1, 1)), sort_keys=True).encode("utf-8"),
+], ids=["extra-key", "other-stack-order", "whitespace"])
+def test_non_canonical_meta_rejected(tmp_path, meta):
+    path = tmp_path / "w.tcur"
+    path.write_bytes(craft(meta, struct.pack("<d", 5.0)))
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
+def _bad_factors_nan_tol():
+    f = tcur(np.random.default_rng(11).standard_normal((6, 7, 4)), 3)
+    return dataclasses.replace(f, sv_tol_factor=float("nan"))
+
+
+def _bad_factors_rows():
+    f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 5)
+    return dataclasses.replace(f, rows=np.array([0, 0, 99]))
+
+
+def _bad_adapter_core():
+    a = init_adapter(np.random.default_rng(13).standard_normal((5, 6, 2)), 2)
+    return Adapter(base=a.base, C=a.C, R=a.R, U=np.zeros((3, 3, 2)), rank=2)
+
+
+CROSS_FIELD = {
+    "nan-sv-tol-factor": (1, _bad_factors_nan_tol, factor_parts),
+    "rows-not-an-index-set": (1, _bad_factors_rows, factor_parts),
+    "core-dims-not-rank": (2, _bad_adapter_core, adapter_parts),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_FIELD))
+def test_cross_field_inconsistency_rejected_on_read(tmp_path, case):
+    kind, make, parts = CROSS_FIELD[case]
+    path = tmp_path / "w.tcur"
+    path.write_bytes(craft_kind(kind, *parts(make())))  # valid CRC
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_FIELD))
+def test_cross_field_inconsistency_rejected_before_write(tmp_path, case):
+    _, make, _ = CROSS_FIELD[case]
+    path = tmp_path / "w.tcur"
+    write_checkpoint(path, np.ones((2, 2, 2)))
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_checkpoint(path, make())
+    assert path.read_bytes() == before
+
+
+# ------------------------------------------------------------------ fuzzing
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=8,
+)
+
+
+def _valid_file(kind: int) -> bytes:
+    payload = (
+        np.random.default_rng(14).standard_normal((3, 4, 2)),
+        tcur(np.random.default_rng(15).standard_normal((4, 5, 3)), 2),
+        trained_adapter(16),
+    )[kind]
+    with tempfile.TemporaryDirectory() as d:
+        write_checkpoint(Path(d) / "v.tcur", payload)
+        return (Path(d) / "v.tcur").read_bytes()
+
+
+VALID_FILES = {kind: _valid_file(kind) for kind in range(3)}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(VALID_FILES)), data=st.data())
+def test_reader_fuzz_one_meta_value(kind, data):
+    # One meta value replaced, CRC recomputed: the reader either refuses
+    # the file with a CheckpointError or returns what rewrites to it.
+    good = VALID_FILES[kind]
+    (meta_len,) = struct.unpack_from("<I", good, 12)
+    meta = json.loads(good[16:16 + meta_len])
+    holder, key = data.draw(st.sampled_from(
+        [(meta, k) for k in sorted(meta)]
+        + [(entry, k) for entry in meta["tensors"] for k in ("name", "dims")]
+    ), label="target")
+    holder[key] = data.draw(st.just(holder[key]) | JSON_VALUES, label="value")
+    raw = craft(meta, good[16 + meta_len:-4], kind=kind)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.tcur"
+        path.write_bytes(raw)
+        try:
+            back = read_checkpoint(path)
+        except CheckpointError:
+            return
+        write_checkpoint(path, back)
+        assert path.read_bytes() == raw
 
 
 def test_missing_file_is_oserror(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tcur import (
+    NonFiniteInput,
     RankOutOfRange,
     ZeroTensor,
     column_scores,
@@ -79,6 +80,14 @@ def test_select_top_r_rank_bounds(r):
 def test_tcur_rank_bounds(r):
     with pytest.raises(RankOutOfRange):
         tcur(np.ones((5, 6, 2)), r)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tcur_rejects_non_finite_input(bad):
+    w = np.random.default_rng(0).standard_normal((6, 5, 4))
+    w[2, 3, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        tcur(w, 2)
 
 
 def test_selection_deterministic_and_scale_invariant():
