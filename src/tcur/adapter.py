@@ -8,13 +8,15 @@ the small core U (rank x rank x n3) starts at zero and is the only thing
 trained. Effective weights are ``base + C * U * R``, so a freshly built
 adapter reproduces the base exactly.
 
-Slice ordering inside the attention stack is layer-major with role order
-(q, k, v, o); this layout is part of the checkpoint format.
+``LAYOUT`` defines the stacking once; shapes, stack/unstack and parameter
+counts derive from it. Slices are layer-major, and the attention stack's
+role order (q, k, v, o) is part of the checkpoint format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -25,6 +27,14 @@ from .tensor_ops import _as_tensor3, tprod
 #: Role order of the four attention projections within each layer's
 #: block of frontal slices. Fixed; recorded in checkpoints.
 ROLE_ORDER = ("q", "k", "v", "o")
+
+#: Stacked group -> (LayerWeights fields filling it, in slice order within
+#: a layer; frontal-slice (rows, cols) as multiples of d).
+LAYOUT = {
+    "sa": (ROLE_ORDER, (1, 1)),
+    "up": (("up",), (1, 4)),
+    "down": (("down",), (4, 1)),
+}
 
 #: Caveat attached to every parameter-count report.
 PARAM_COUNT_CAVEAT = (
@@ -58,25 +68,19 @@ class StackingConfig:
         if self.n_heads is not None and self.d % self.n_heads != 0:
             raise DimMismatch(f"d={self.d} not divisible by n_heads={self.n_heads}")
 
-    @property
-    def sa_shape(self) -> tuple[int, int, int]:
-        return (self.d, self.d, 4 * self.n_layers)
+    def shape(self, group: str) -> tuple[int, int, int]:
+        """(rows, cols, frontal slices) of one stacked group of ``LAYOUT``."""
+        fields, (m, n) = LAYOUT[group]
+        return (m * self.d, n * self.d, len(fields) * self.n_layers)
 
-    @property
-    def up_shape(self) -> tuple[int, int, int]:
-        return (self.d, 4 * self.d, self.n_layers)
-
-    @property
-    def down_shape(self) -> tuple[int, int, int]:
-        return (4 * self.d, self.d, self.n_layers)
+    sa_shape = property(lambda self: self.shape("sa"))
+    up_shape = property(lambda self: self.shape("up"))
+    down_shape = property(lambda self: self.shape("down"))
 
 
 @dataclass
 class LayerWeights:
-    """One transformer layer's weight matrices.
-
-    q, k, v, o are (d, d); up is (d, 4d); down is (4d, d).
-    """
+    """One transformer layer's weight matrices, shaped as ``LAYOUT`` says."""
 
     q: np.ndarray
     k: np.ndarray
@@ -89,43 +93,28 @@ class LayerWeights:
         return (self.q, self.k, self.v, self.o)
 
 
-def _check_layer_shapes(lw: LayerWeights, cfg: StackingConfig, layer: int) -> None:
-    d = cfg.d
-    for name, m in zip(ROLE_ORDER, lw.roles()):
-        if np.shape(m) != (d, d):
-            raise DimMismatch(
-                f"layer {layer} role {name}: expected {(d, d)}, got {np.shape(m)}"
-            )
-    if np.shape(lw.up) != (d, 4 * d):
-        raise DimMismatch(f"layer {layer} up: expected {(d, 4 * d)}, got {np.shape(lw.up)}")
-    if np.shape(lw.down) != (4 * d, d):
-        raise DimMismatch(
-            f"layer {layer} down: expected {(4 * d, d)}, got {np.shape(lw.down)}"
-        )
-
-
 def stack_layers(
     layers: list[LayerWeights],
     cfg: StackingConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack per-layer matrices into (W_sa, W_up, W_down) tensors.
+    """Stack per-layer matrices into float64 (W_sa, W_up, W_down) tensors.
 
-    W_sa slice 4*layer + role holds the role-th attention projection of
-    that layer (role order q, k, v, o); W_up and W_down hold one slice per
-    layer. Pure reindexing, no arithmetic.
+    Slice k of a group holds the k-th (layer, field) pair of its ``LAYOUT``
+    entry in layer-major order, so W_sa slice 4*layer + role holds that
+    layer's role-th projection. Pure reindexing, no arithmetic.
     """
     if len(layers) != cfg.n_layers:
         raise DimMismatch(f"expected {cfg.n_layers} layers, got {len(layers)}")
-    w_sa = np.empty(cfg.sa_shape)
-    w_up = np.empty(cfg.up_shape)
-    w_down = np.empty(cfg.down_shape)
-    for li, lw in enumerate(layers):
-        _check_layer_shapes(lw, cfg, li)
-        for ri, m in enumerate(lw.roles()):
-            w_sa[:, :, 4 * li + ri] = m
-        w_up[:, :, li] = lw.up
-        w_down[:, :, li] = lw.down
-    return w_sa, w_up, w_down
+    stacked = []
+    for group, (fields, _) in LAYOUT.items():
+        w = np.empty(cfg.shape(group))
+        for k, (li, name) in enumerate(product(range(cfg.n_layers), fields)):
+            m = getattr(layers[li], name)
+            if np.shape(m) != w.shape[:2]:
+                raise DimMismatch(f"layer {li} {name}: expected {w.shape[:2]}, got {np.shape(m)}")
+            w[:, :, k] = m
+        stacked.append(w)
+    return tuple(stacked)
 
 
 def unstack_layers(
@@ -134,27 +123,15 @@ def unstack_layers(
     w_down: np.ndarray,
     cfg: StackingConfig,
 ) -> list[LayerWeights]:
-    """Exact inverse of :func:`stack_layers`."""
-    w_sa = _as_tensor3(w_sa, "w_sa")
-    w_up = _as_tensor3(w_up, "w_up")
-    w_down = _as_tensor3(w_down, "w_down")
-    if w_sa.shape != cfg.sa_shape:
-        raise DimMismatch(f"w_sa: expected {cfg.sa_shape}, got {w_sa.shape}")
-    if w_up.shape != cfg.up_shape:
-        raise DimMismatch(f"w_up: expected {cfg.up_shape}, got {w_up.shape}")
-    if w_down.shape != cfg.down_shape:
-        raise DimMismatch(f"w_down: expected {cfg.down_shape}, got {w_down.shape}")
-    layers = []
-    for li in range(cfg.n_layers):
-        q, k, v, o = (w_sa[:, :, 4 * li + ri].copy() for ri in range(4))
-        layers.append(
-            LayerWeights(
-                q=q, k=k, v=v, o=o,
-                up=w_up[:, :, li].copy(),
-                down=w_down[:, :, li].copy(),
-            )
-        )
-    return layers
+    """Exact inverse of :func:`stack_layers`; returns contiguous copies."""
+    fields_by_layer = [{} for _ in range(cfg.n_layers)]
+    for (group, (fields, _)), w in zip(LAYOUT.items(), (w_sa, w_up, w_down)):
+        w = _as_tensor3(w, f"w_{group}")
+        if w.shape != cfg.shape(group):
+            raise DimMismatch(f"w_{group}: expected {cfg.shape(group)}, got {w.shape}")
+        for k, (li, name) in enumerate(product(range(cfg.n_layers), fields)):
+            fields_by_layer[li][name] = w[:, :, k].copy()
+    return [LayerWeights(**f) for f in fields_by_layer]
 
 
 @dataclass
@@ -247,27 +224,19 @@ def count_params(cfg: StackingConfig, rank: int) -> ParamReport:
     """Learnable adapter entries for each stacked group at the given rank."""
     if rank < 1:
         raise DimMismatch(f"rank must be positive, got {rank}")
-    groups = []
-    for name, n_slices in (
-        ("sa", 4 * cfg.n_layers),
-        ("up", cfg.n_layers),
-        ("down", cfg.n_layers),
-    ):
-        groups.append(
-            GroupCount(
-                name=name,
-                core_shape=(rank, rank, n_slices),
-                entries=core_entries(rank, n_slices),
-            )
-        )
-    return ParamReport(groups=tuple(groups), total=sum(g.entries for g in groups))
+    slices = {g: cfg.shape(g)[2] for g in LAYOUT}
+    groups = tuple(
+        GroupCount(name=g, core_shape=(rank, rank, n), entries=core_entries(rank, n))
+        for g, n in slices.items()
+    )
+    return ParamReport(groups=groups, total=sum(g.entries for g in groups))
 
 
 def count_matrix_baseline(cfg: StackingConfig, rank: int) -> MatrixBaselineCount:
     """Per-matrix baseline: one rank x rank core per stacked weight matrix."""
     if rank < 1:
         raise DimMismatch(f"rank must be positive, got {rank}")
-    n_matrices = 6 * cfg.n_layers  # 4 attention + 2 MLP matrices per layer
+    n_matrices = sum(cfg.shape(g)[2] for g in LAYOUT)
     return MatrixBaselineCount(
         n_matrices=n_matrices,
         per_matrix=rank * rank,

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapter import Adapter
+from .adapter import ROLE_ORDER, Adapter
 from .decomp import TcurFactors
 from .errors import CorruptCheckpoint, UnsupportedVersion
 
@@ -39,7 +39,7 @@ VERSION = 1
 LAYOUT = "slice-major:frontal-slice-contiguous,row-major-within-slice,f64-le"
 #: Slice ordering law for stacked attention weights; recorded so files are
 #: interpretable without the producing code.
-STACK_ORDER = "layer-major;roles=q,k,v,o"
+STACK_ORDER = "layer-major;roles=" + ",".join(ROLE_ORDER)
 
 _HEADER = struct.Struct("<III")  # version, kind, meta_len
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +41,11 @@ def _positive_int(text):
 
 
 def _emit(text, out_path):
+    text = text.rstrip("\n") + "\n"  # exactly one trailing newline
     if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
+        Path(out_path).write_text(text, encoding="utf-8")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,10 +186,9 @@ def cmd_finetune(args) -> int:
                          optimizer=args.optimizer, rel_stop=args.rel_stop)
     if args.save_adapter is not None:
         ckpt.write_checkpoint(args.save_adapter, a)
-    if args.format == "json":
-        _emit(rpt.render_history_json(hist, args.seed, args.optimizer, lr), args.out)
-    else:
-        _emit(rpt.render_history_csv(hist, args.seed), args.out)
+    text = (rpt.render_history_json(hist, args.seed, args.optimizer, lr)
+            if args.format == "json" else rpt.render_history_csv(hist, args.seed))
+    _emit(text, args.out)
     return 0
 
 
@@ -197,25 +198,15 @@ def cmd_report(args) -> int:
         rep = adp.count_params(cfg, args.rank)
         base = adp.count_matrix_baseline(cfg, args.matrix_rank)
         if args.format == "json":
-            payload = {
-                "groups": [
-                    {"name": g.name, "core_shape": list(g.core_shape), "entries": g.entries}
-                    for g in rep.groups
-                ],
-                "total": rep.total,
-                "caveat": rep.caveat,
-                "matrix_baseline": {"rank": args.matrix_rank,
-                                    "n_matrices": base.n_matrices,
-                                    "per_matrix": base.per_matrix,
-                                    "total": base.total},
-            }
-            _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+            baseline = {"rank": args.matrix_rank, **asdict(base)}
+            text = rpt.to_json({**asdict(rep), "matrix_baseline": baseline})
         else:
-            lines = ["name,entries"]
-            lines += [f"{g.name},{g.entries}" for g in rep.groups]
-            lines += [f"total,{rep.total}",
-                      f"matrix_baseline_r{args.matrix_rank},{base.total}"]
-            _emit("\n".join(lines), args.out)
+            text = rpt.to_csv(["name", "entries"], [
+                *((g.name, g.entries) for g in rep.groups),
+                ("total", rep.total),
+                (f"matrix_baseline_r{args.matrix_rank}", base.total),
+            ])
+        _emit(text, args.out)
         # keep stdout parseable but always surface the caveat
         print(rep.caveat, file=sys.stderr)
         return 0

@@ -128,6 +128,34 @@ class TestStacking:
         with pytest.raises(DimMismatch):
             stack_layers(layers, self.cfg)
 
+    def test_wrong_down_shape_rejected(self):
+        rng = np.random.default_rng(9)
+        layers = self.make_layers(rng)
+        layers[0].down = rng.standard_normal((6, 24))  # the transpose of (24, 6)
+        with pytest.raises(DimMismatch):
+            stack_layers(layers, self.cfg)
+
+    def test_integer_matrices_stack_as_float64(self):
+        rng = np.random.default_rng(10)
+        layers = [
+            LayerWeights(*(np.rint(10 * m).astype(np.int64)
+                           for m in (lw.q, lw.k, lw.v, lw.o, lw.up, lw.down)))
+            for lw in self.make_layers(rng)
+        ]
+        stacked = stack_layers(layers, self.cfg)
+        assert [w.dtype for w in stacked] == [np.float64] * 3
+        assert np.array_equal(stacked[2][:, :, 1], layers[1].down)
+
+    def test_unstack_returns_contiguous_copies(self):
+        rng = np.random.default_rng(11)
+        stacked = stack_layers(self.make_layers(rng), self.cfg)
+        before = [w.copy() for w in stacked]
+        for lw in unstack_layers(*stacked, self.cfg):
+            for m in (*lw.roles(), lw.up, lw.down):
+                assert m.flags.c_contiguous
+                m[...] = 0.0
+        assert all(np.array_equal(w, b) for w, b in zip(stacked, before))
+
 
 def test_stacking_config_validation():
     with pytest.raises(DimMismatch):

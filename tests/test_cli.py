@@ -5,9 +5,20 @@ import sys
 import numpy as np
 import pytest
 
-from tcur import Adapter, grad_core, init_adapter, read_checkpoint, reconstruct, tcur
+from tcur import (
+    Adapter,
+    TcurError,
+    init_adapter,
+    make_task,
+    read_checkpoint,
+    reconstruct,
+    safe_step_size,
+    train,
+    write_checkpoint,
+)
+from tcur.adapter import PARAM_COUNT_CAVEAT
 from tcur.cli import main
-from tcur.verify import inject_fault
+from tcur.verify import FAULTS, inject_fault
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +137,57 @@ def test_report_out_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["total"] == 4608
 
 
+PARAMS_ARGS = ("report", "--kind", "params", "--rank", "4", "--matrix-rank", "3",
+               "--d", "64", "--layers", "3")
+
+
+def _core(rank, slices, entries, name):
+    return (f'    {{\n      "core_shape": [\n        {rank},\n        {rank},\n'
+            f'        {slices}\n      ],\n      "entries": {entries},\n'
+            f'      "name": "{name}"\n    }}')
+
+
+def test_report_params_json_exact_bytes(capsys):
+    code, out, _ = run_cli(capsys, *PARAMS_ARGS)
+    assert code == 0
+    assert out == (
+        "{\n"
+        f'  "caveat": {json.dumps(PARAM_COUNT_CAVEAT)},\n'
+        '  "groups": [\n'
+        + ",\n".join([_core(4, 12, 192, "sa"), _core(4, 3, 48, "up"),
+                      _core(4, 3, 48, "down")])
+        + "\n  ],\n"
+        '  "matrix_baseline": {\n'
+        '    "n_matrices": 18,\n'
+        '    "per_matrix": 9,\n'
+        '    "rank": 3,\n'
+        '    "total": 162\n'
+        "  },\n"
+        '  "total": 288\n'
+        "}\n"
+    )
+
+
+def test_report_params_csv_exact_bytes(capsys):
+    code, out, _ = run_cli(capsys, *PARAMS_ARGS, "--format", "csv")
+    assert code == 0
+    assert out == ("name,entries\nsa,192\nup,48\ndown,48\ntotal,288\n"
+                   "matrix_baseline_r3,162\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("finetune", "--dims", "4", "4", "2", "--rank", "2", "--steps", "5"),
+    ("report", "--dims", "4", "4", "2", "--rank", "2", "--steps", "5", "--no-timing"),
+])
+def test_csv_output_ends_in_one_newline(argv, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    out_path = tmp_path / "out.csv"
+    assert run_cli(capsys, *argv, "--format", "csv", "--out", str(out_path))[0] == 0
+    assert out_path.read_text() == out
+
+
 def test_verify_clean_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "0")
     assert code == 0
@@ -135,27 +197,33 @@ def test_verify_clean_exits_zero(capsys):
 
 def test_verify_fault_exits_three(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "0",
-                           "--inject-fault", "scores-unnormalized")
+                           "--inject-fault", "scores-reversed")
     assert code == 3
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("fault", ["tprod-scale", "fft-normalized", "ttranspose-no-reverse"])
-def test_fault_hooks_reach_library_internals(fault):
-    # decomp, adapter and trainer hold their own bindings of the kernel
-    # functions; a hook must reach those too, and be fully undone after
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((6, 7, 4))
-    g = rng.standard_normal((6, 7, 4))
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_hooks_reach_library_internals(fault, tmp_path):
+    # cli, decomp, adapter and trainer hold their own bindings of the
+    # hooked functions; a hook must reach those too, and be fully undone after
+    task = make_task((6, 7, 4), 3, "out_of_span", seed=0)
+    w_path, f_path = tmp_path / "w.tcur", tmp_path / "f.tcur"
+    write_checkpoint(w_path, task.base)
 
     def downstream():
-        f = tcur(w, 3)
-        return reconstruct(f), grad_core(init_adapter(w, 3), g), f.C
+        assert main(["decompose", str(w_path), "--rank", "3", "--out", str(f_path)]) == 0
+        f = read_checkpoint(f_path)
+        a = init_adapter(task.base, 3)
+        hist = train(a, task, steps=3, lr=safe_step_size(a))
+        return reconstruct(f), f.C, a.U, np.array(hist.loss)
 
     clean = downstream()
     with inject_fault(fault):
-        faulty = downstream()
-    assert any(not np.array_equal(x, y) for x, y in zip(clean, faulty))
+        try:
+            faulty = downstream()
+        except TcurError:
+            faulty = None  # a raised error is a changed result too
+    assert faulty is None or any(not np.array_equal(x, y) for x, y in zip(clean, faulty))
     assert all(np.array_equal(x, y) for x, y in zip(clean, downstream()))
 
 
