@@ -60,10 +60,10 @@ class StackingConfig:
     n_heads: int | None = None
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.n_layers < 1:
+        if self.d < 1 or self.n_layers < 1 or (self.n_heads is not None and self.n_heads < 1):
             raise DimMismatch(
-                f"d and n_layers must be positive, got d={self.d}, "
-                f"n_layers={self.n_layers}"
+                f"d, n_layers and n_heads must be positive, got d={self.d}, "
+                f"n_layers={self.n_layers}, n_heads={self.n_heads}"
             )
         if self.n_heads is not None and self.d % self.n_heads != 0:
             raise DimMismatch(f"d={self.d} not divisible by n_heads={self.n_heads}")

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--rank", type=_positive_int, default=4)
     f.add_argument("--steps", type=_positive_int, default=2000)
     f.add_argument("--lr", type=float, default=None,
-                   help="step size (default: 1/lambda_max via power iteration)")
+                   help="step size (default: 1/lambda_max, closed form)")
     f.add_argument("--optimizer", choices=("gd", "adam"), default="gd")
     f.add_argument("--plant-mode", choices=trainer.PLANT_MODES, default="in_span")
     f.add_argument("--seed", type=int, default=0)

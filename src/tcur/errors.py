@@ -37,6 +37,10 @@ class DivergenceDetected(TcurError):
     """Training loss blew past the divergence guard."""
 
 
+class CurvatureMismatch(TcurError):
+    """The closed-form Hessian eigenpair does not hold for the Hessian operator."""
+
+
 class CheckpointError(TcurError):
     """Base for checkpoint serialization failures."""
 

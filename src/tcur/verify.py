@@ -309,6 +309,19 @@ def check_finite_diff_grad(seed):
     return _within(worst, 1e-6, "analytic vs central-difference rel err")
 
 
+def check_step_size_exact(seed):
+    # hessian_max_eig checks that its lambda is an eigenvalue of the Hessian;
+    # this checks that it is the largest, against the dense Hessian.
+    rng = np.random.default_rng(seed)
+    n3 = int(rng.integers(1, 7))
+    r = int(rng.integers(2, int((200 / n3) ** 0.5) + 1))
+    a = adp.init_adapter(rng.standard_normal((r + 2, r + 1, n3)), r)
+    cols = [trainer.hessian_apply(a, e.reshape(a.U.shape)).ravel() for e in np.eye(a.U.size)]
+    dense = float(np.linalg.eigvalsh(np.stack(cols, axis=1))[-1])
+    err = abs(trainer.hessian_max_eig(a) - dense) / dense
+    return _within(err, 1e-12, f"lambda_max vs dense eigvalsh (r={r}, n3={n3}) rel err")
+
+
 def check_training_descent(seed):
     task = trainer.make_task((8, 8, 4), 3, "in_span", seed=seed)
     a = adp.init_adapter(task.base, 3)
@@ -374,6 +387,7 @@ CHECKS = {
     "param-count-arithmetic": check_param_count_arithmetic,
     "grad-adjoint-identity": check_grad_adjoint_identity,
     "finite-diff-grad": check_finite_diff_grad,
+    "step-size-exact": check_step_size_exact,
     "training-descent": check_training_descent,
     "checkpoint-roundtrip": check_checkpoint_roundtrip,
 }

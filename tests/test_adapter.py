@@ -166,6 +166,12 @@ def test_stacking_config_validation():
         StackingConfig(d=6, n_layers=2, n_heads=4)  # 4 does not divide 6
 
 
+@pytest.mark.parametrize("n_heads", [0, -3])
+def test_stacking_config_rejects_non_positive_heads(n_heads):
+    with pytest.raises(DimMismatch):
+        StackingConfig(d=6, n_layers=2, n_heads=n_heads)
+
+
 # -------------------------------------------------------------- param counts
 
 def test_core_entries_arithmetic():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tcur import (
+    CurvatureMismatch,
     DimMismatch,
     DivergenceDetected,
     finite_diff_grad,
@@ -14,7 +15,8 @@ from tcur import (
     train,
     tprod,
 )
-from tcur.adapter import effective_weights
+from tcur import trainer
+from tcur.adapter import Adapter, effective_weights
 from tcur.trainer import (
     hessian_apply,
     loss_tensor_target,
@@ -158,8 +160,58 @@ def test_hessian_operator_and_step_size():
         float(np.sum(v * hessian_apply(a, w))), rel=1e-10
     )
     assert float(np.sum(v * hessian_apply(a, v))) >= 0.0
-    # power iteration is seeded, so the estimate is reproducible
+    # the closed form is deterministic, so the value is reproducible
     assert hessian_max_eig(a) == hessian_max_eig(a)
+
+
+def _dense_hessian_max_eig(a):
+    # Column j of the dense Hessian is hessian_apply of the j-th unit core.
+    n = a.U.size
+    cols = [hessian_apply(a, e.reshape(a.U.shape)).ravel() for e in np.eye(n)]
+    return float(np.linalg.eigvalsh(np.stack(cols, axis=1))[-1])
+
+
+def _small_core_shapes():
+    # Every (rank, n3) with rank^2 * n3 <= 200 for n3 in 1..6, n1 and n2 >= rank.
+    rng = np.random.default_rng(14)
+    for n3 in range(1, 7):
+        for r in range(1, int((200 / n3) ** 0.5) + 1):
+            yield (r + int(rng.integers(0, 4)), r + int(rng.integers(0, 4)), n3), r
+
+
+def test_hessian_max_eig_matches_dense_eigvalsh():
+    rng = np.random.default_rng(15)
+    shapes = list(_small_core_shapes())
+    assert len(shapes) == 50
+    for dims, r in shapes:
+        a = init_adapter(rng.standard_normal(dims), r)
+        dense = _dense_hessian_max_eig(a)
+        assert abs(hessian_max_eig(a) - dense) <= 1e-12 * dense, (dims, r)
+
+
+@pytest.mark.parametrize("tubes", [np.ones(6), (-1.0) ** np.arange(6) + 0.1],
+                         ids=["dc-only", "nyquist-dominant"])
+def test_hessian_max_eig_on_real_edge_slices(tubes):
+    m = np.random.default_rng(16).standard_normal((7, 6))
+    a = init_adapter(m[:, :, None] * tubes, 3)
+    dense = _dense_hessian_max_eig(a)
+    assert abs(hessian_max_eig(a) - dense) <= 1e-12 * dense
+
+
+def test_curvature_mismatch_when_gradient_path_disagrees(monkeypatch):
+    a = init_adapter(np.random.default_rng(17).standard_normal((6, 5, 4)), 2)
+    grad = trainer.grad_core
+    monkeypatch.setattr(trainer, "grad_core", lambda a, g: 1.01 * grad(a, g))
+    with pytest.raises(CurvatureMismatch):
+        safe_step_size(a)
+
+
+def test_zero_curvature_raises_value_error():
+    rng = np.random.default_rng(18)
+    a = Adapter(base=rng.standard_normal((5, 4, 3)), C=np.zeros((5, 2, 3)),
+                R=rng.standard_normal((2, 4, 3)), U=np.zeros((2, 2, 3)), rank=2)
+    with pytest.raises(ValueError, match="zero curvature"):
+        safe_step_size(a)
 
 
 def test_run_baselines_report():
