@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .decomp import tcur
-from .errors import DimMismatch
+from .errors import DimMismatch, NonFiniteInput
 from .tensor_ops import _as_tensor3, tprod
 
 #: Role order of the four attention projections within each layer's
@@ -140,6 +140,10 @@ class Adapter:
 
     Construction marks base, C and R read-only in place; training only
     ever reassigns U. A zero U makes the adapter a no-op.
+
+    Raises:
+        NonFiniteInput: C, R or U has a NaN or infinite entry (the
+            r-sized factors; ``tcur`` and the checkpoint reader check base).
     """
 
     base: np.ndarray   # (n1, n2, n3), frozen
@@ -149,6 +153,9 @@ class Adapter:
     rank: int
 
     def __post_init__(self):
+        for name in ("C", "R", "U"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NonFiniteInput(f"adapter factor {name} has NaN or infinite entries")
         for frozen in (self.base, self.C, self.R):
             frozen.setflags(write=False)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .adapter import ROLE_ORDER, Adapter
 from .decomp import TcurFactors
-from .errors import CorruptCheckpoint, UnsupportedVersion
+from .errors import CorruptCheckpoint, NonFiniteInput, UnsupportedVersion
 
 MAGIC = b"TCUR"
 VERSION = 1
@@ -195,6 +195,6 @@ def read_checkpoint(path):
         payload = parts["tensor"] if ptype is np.ndarray else ptype(**parts)
         if _encode(payload)[1] != meta_bytes:
             raise ValueError("meta is not what the writer renders for this payload")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, NonFiniteInput) as e:
         raise CorruptCheckpoint(f"inconsistent metadata: {e}") from e
     return payload

@@ -2,30 +2,37 @@
 
 The objective is the quadratic tensor-target loss ``0.5 * ||W - T||_F^2``
 on the adapter's effective weights, the one desk-scale objective whose
-optimum and convergence behavior are known in closed form. The gradient
-with respect to the core follows from the t-product adjoint:
+optimum and convergence behavior are known in closed form. With
+D = T - base it is ``0.5 * ||C * U * R - D||_F^2``, and the gradient with
+respect to the core follows from the t-product adjoint:
 
-    dL/dU = C^T * (W - T) * R^T
+    dL/dU = C^T * (C * U * R - D) * R^T
 
-verified here both by the inner-product adjoint identity and by central
-finite differences. Gradient descent with step size ``1 / lambda_max`` is
-the reference path (monotone on quadratics), lambda_max taken in closed form
+``grad_core`` is that adjoint in space, the reference definition, verified
+both by the inner-product adjoint identity and by central finite
+differences. ``train`` and ``task_loss`` never leave the mode-3 half
+spectrum: C, R and D are transformed once per run, and each step forms one
+residual E = C U R - D slice by slice, which gives both the gradient
+(``C_k^H E_k R_k^H``, mapped back to a real core) and the loss (by
+Parseval). Gradient descent with step size ``1 / lambda_max`` is the
+reference path (monotone on quadratics), lambda_max taken in closed form
 from the Fourier slices of C and R; Adam is available but makes no
 monotonicity promise.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapter import Adapter, core_entries, effective_weights, init_adapter
+from .adapter import Adapter, core_entries, init_adapter
 from .decomp import tcur
-from .errors import CurvatureMismatch, DimMismatch, DivergenceDetected
+from .errors import CurvatureMismatch, DimMismatch, DivergenceDetected, NonFiniteInput
 from .report import ComparisonReport, ReportRecord
-from .tensor_ops import _as_tensor3, _to_spec, fro_norm, tprod, ttranspose
+from .tensor_ops import _as_tensor3, _from_spec, _to_spec, fro_norm, tprod, ttranspose
 
 PLANT_MODES = ("in_span", "out_of_span")
 ADAM_BETA1 = 0.9
@@ -86,7 +93,40 @@ def loss_tensor_target(w: np.ndarray, t: np.ndarray) -> float:
 
 
 def task_loss(a: Adapter, task: SyntheticTask) -> float:
-    return loss_tensor_target(effective_weights(a), task.target)
+    """``loss_tensor_target(effective_weights(a), task.target)``, computed
+    on the half spectrum with the arithmetic ``train`` uses for its loss."""
+    c_hat, r_hat, d_hat = _spec_task(a, task)
+    return _spec_loss(_spec_residual(c_hat, r_hat, d_hat, a.U), a.base.shape[2])
+
+
+def _spec_task(a: Adapter, task: SyntheticTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half spectra of C, R and D = target - base."""
+    target = _as_tensor3(task.target, "target")
+    if target.shape != a.base.shape:
+        raise DimMismatch(f"target dims {target.shape} != base dims {a.base.shape}")
+    return _to_spec(a.C), _to_spec(a.R), _to_spec(target - a.base)
+
+
+def _spec_residual(c_hat: np.ndarray, r_hat: np.ndarray, d_hat: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+    """Half spectrum of the residual ``C * U * R - D``."""
+    return c_hat @ (_to_spec(u) @ r_hat) - d_hat
+
+
+def _spec_loss(e_hat: np.ndarray, n3: int) -> float:
+    """``0.5 * ||E||_F^2`` from E's half spectrum, by Parseval.
+
+    The DC slice, and at even n3 the Nyquist slice, stand for themselves;
+    every other slice also stands for its conjugate twin, so counts twice.
+    """
+    re_im = np.ascontiguousarray(e_hat).view(np.float64)
+    sq = np.einsum("kij,kij->k", re_im, re_im)  # |E_k|_F^2 per slice
+    return float(sq.sum() + sq[1:(n3 + 1) // 2].sum()) / (2.0 * n3)
+
+
+def _spec_grad(c_hat: np.ndarray, e_hat: np.ndarray, r_hat: np.ndarray, n3: int) -> np.ndarray:
+    """Real core gradient ``C^T * E * R^T`` from half spectra: ``C_k^H E_k R_k^H``."""
+    return _from_spec(c_hat.conj().swapaxes(1, 2) @ e_hat @ r_hat.conj().swapaxes(1, 2), n3)
 
 
 def grad_core(a: Adapter, g: np.ndarray) -> np.ndarray:
@@ -200,7 +240,9 @@ def train(
     """Fit the adapter core to the task target.
 
     Only ``a.U`` is updated; base, C, R are untouched. Stops early when
-    the loss falls to ``rel_stop * initial`` (if given).
+    the loss falls to ``rel_stop * initial`` (if given). Each step takes the
+    gradient and the post-update loss from one half-spectrum residual; the
+    update itself (gd or Adam) is applied to the real core.
 
     Args:
         steps: number of update steps, >= 1.
@@ -209,7 +251,9 @@ def train(
         rel_stop: optional relative early-stop threshold.
 
     Raises:
-        DivergenceDetected: loss exceeded 1e6 x the initial loss.
+        NonFiniteInput: the initial loss is NaN or infinite.
+        DivergenceDetected: a step's loss is NaN or infinite, or exceeded
+            1e6 x the initial loss.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -219,14 +263,18 @@ def train(
         raise ValueError(f"optimizer must be 'gd' or 'adam', got {optimizer!r}")
 
     initial = task_loss(a, task)
+    if not math.isfinite(initial):
+        raise NonFiniteInput(f"initial loss is {initial}: base, target or adapter not finite")
     guard = 1e6 * initial
     history = TrainHistory(initial_loss=initial, loss=[], grad_norm=[], step_size=[])
 
+    n3 = a.base.shape[2]
+    c_hat, r_hat, d_hat = _spec_task(a, task)
     m = np.zeros_like(a.U)
     v = np.zeros_like(a.U)
-    residual = effective_weights(a) - task.target
+    e_hat = _spec_residual(c_hat, r_hat, d_hat, a.U)
     for t in range(1, steps + 1):
-        grad = grad_core(a, residual)
+        grad = _spec_grad(c_hat, e_hat, r_hat, n3)
         if optimizer == "gd":
             a.U = a.U - lr * grad
         else:
@@ -236,14 +284,15 @@ def train(
             v_hat = v / (1.0 - ADAM_BETA2**t)
             a.U = a.U - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         # The post-update residual is also the next step's gradient input.
-        residual = effective_weights(a) - task.target
-        loss = 0.5 * float(np.sum(residual * residual))  # == task_loss(a, task)
+        e_hat = _spec_residual(c_hat, r_hat, d_hat, a.U)
+        loss = _spec_loss(e_hat, n3)  # == task_loss(a, task), bit for bit
         history.loss.append(loss)
         history.grad_norm.append(fro_norm(grad))
         history.step_size.append(lr)
-        if loss > guard:
+        if not math.isfinite(loss) or loss > guard:
             raise DivergenceDetected(
-                f"loss {loss:.3e} exceeded 1e6 x initial ({initial:.3e}) at step {t}"
+                f"loss {loss:.3e} is not finite or exceeded 1e6 x initial "
+                f"({initial:.3e}) at step {t}"
             )
         if rel_stop is not None and loss <= rel_stop * initial:
             break

@@ -322,6 +322,28 @@ def check_step_size_exact(seed):
     return _within(err, 1e-12, f"lambda_max vs dense eigvalsh (r={r}, n3={n3}) rel err")
 
 
+def check_train_kernel(seed):
+    # The gradient and loss train steps with, taken on the half spectrum,
+    # against the spatial reference definitions; odd and even n3, so the
+    # Nyquist slice's weight is exercised.
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n3 in (1, int(rng.choice((3, 5, 7))), int(rng.choice((2, 4, 6, 8)))):
+        dims = (int(rng.integers(3, 9)), int(rng.integers(3, 9)), n3)
+        r = int(rng.integers(1, min(dims[:2]) + 1))
+        task = trainer.make_task(dims, r, "out_of_span", seed=seed + n3)
+        a = adp.init_adapter(task.base, r)
+        a.U = rng.standard_normal(a.U.shape)
+        w = adp.effective_weights(a)
+        c_hat, r_hat, d_hat = trainer._spec_task(a, task)
+        e_hat = trainer._spec_residual(c_hat, r_hat, d_hat, a.U)
+        grad = trainer._spec_grad(c_hat, e_hat, r_hat, n3)
+        ref = trainer.loss_tensor_target(w, task.target)
+        worst = max(worst, ops.rel_error(grad, trainer.grad_core(a, w - task.target)),
+                    abs(trainer.task_loss(a, task) - ref) / ref)
+    return _within(worst, 1e-12, "spectral vs spatial gradient and loss rel err")
+
+
 def check_training_descent(seed):
     task = trainer.make_task((8, 8, 4), 3, "in_span", seed=seed)
     a = adp.init_adapter(task.base, 3)
@@ -388,6 +410,7 @@ CHECKS = {
     "grad-adjoint-identity": check_grad_adjoint_identity,
     "finite-diff-grad": check_finite_diff_grad,
     "step-size-exact": check_step_size_exact,
+    "train-kernel": check_train_kernel,
     "training-descent": check_training_descent,
     "checkpoint-roundtrip": check_checkpoint_roundtrip,
 }
@@ -419,8 +442,8 @@ FAULTS = {
     "tprod-scale": (ops, "tprod", lambda tprod: lambda a, b: tprod(a, b) * (1.0 + 1e-6)),
     "fft-normalized": (ops, "fft_mode3", lambda fft: lambda t: fft(t) / np.shape(t)[2]),
     "scores-reversed": (decomp, "column_scores", _reversed),
-    "ttranspose-no-reverse": (ops, "ttranspose",
-                              lambda _: lambda a: np.asarray(a).transpose(1, 0, 2).copy()),
+    "grad-no-conjugate": (trainer, "_spec_grad", lambda _: lambda c_hat, e_hat, r_hat, n3:
+                          ops._from_spec(c_hat.swapaxes(1, 2) @ e_hat @ r_hat.swapaxes(1, 2), n3)),
     "grad-scale": (trainer, "grad_core", lambda grad: lambda a, g: 1.01 * grad(a, g)),
     "checkpoint-bitrot": (ckpt, "write_checkpoint", _bitrot),
 }

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from tcur import (
+    Adapter,
     DimMismatch,
     LayerWeights,
+    NonFiniteInput,
     RankOutOfRange,
     StackingConfig,
     count_matrix_baseline,
@@ -16,6 +18,7 @@ from tcur import (
     unstack_layers,
 )
 from tcur.adapter import ROLE_ORDER, core_entries
+from tcur.trainer import safe_step_size
 
 
 @pytest.mark.parametrize("dims,rank", [((5, 6, 3), 2), ((4, 4, 1), 3), ((7, 3, 2), 1)])
@@ -41,6 +44,16 @@ def test_frozen_factors_refuse_writes():
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 99.0
     a.U[0, 0, 0] = 1.0  # the core is the learnable part
+
+
+@pytest.mark.parametrize("field", ["C", "R", "U"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_hand_built_adapter_rejects_non_finite_factors(field, bad):
+    a = init_adapter(np.random.default_rng(4).standard_normal((5, 4, 3)), 2)
+    parts = {"base": a.base, "C": a.C.copy(), "R": a.R.copy(), "U": a.U.copy(), "rank": 2}
+    parts[field][0, 1, 2] = bad
+    with pytest.raises(NonFiniteInput, match=field):
+        safe_step_size(Adapter(**parts))
 
 
 def test_init_adapter_rank_bounds():

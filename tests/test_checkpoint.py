@@ -328,6 +328,17 @@ def test_smuggled_nan_rejected(tmp_path):
         read_checkpoint(path)
 
 
+def test_smuggled_nan_adapter_core_rejected(tmp_path):
+    # The Adapter itself refuses a NaN core; the reader still names the file.
+    tensors, extras = adapter_parts(trained_adapter(5))
+    tensors["U"] = tensors["U"].copy()
+    tensors["U"][1, 0, 1] = np.nan
+    path = tmp_path / "a.tcur"
+    path.write_bytes(craft_kind(2, tensors, extras))  # valid CRC
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
 def test_writer_rejects_bad_payloads(tmp_path):
     path = tmp_path / "w.tcur"
     with pytest.raises(ValueError):
