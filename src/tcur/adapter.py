@@ -89,9 +89,6 @@ class LayerWeights:
     up: np.ndarray
     down: np.ndarray
 
-    def roles(self) -> tuple[np.ndarray, ...]:
-        return (self.q, self.k, self.v, self.o)
-
 
 def stack_layers(
     layers: list[LayerWeights],
@@ -173,8 +170,7 @@ def init_adapter(base: np.ndarray, rank: int) -> Adapter:
     """
     base = _as_tensor3(base, "base").copy()
     f = tcur(base, rank)
-    n3 = base.shape[2]
-    return Adapter(base=base, C=f.C.copy(), R=f.R.copy(), U=np.zeros((rank, rank, n3)), rank=rank)
+    return Adapter(base=base, C=f.C, R=f.R, U=np.zeros((rank, rank, base.shape[2])), rank=rank)
 
 
 def delta(a: Adapter) -> np.ndarray:
@@ -205,7 +201,7 @@ class ParamReport:
 
     groups: tuple[GroupCount, ...]
     total: int
-    caveat: str = field(default=PARAM_COUNT_CAVEAT)
+    caveat: str = field(default=PARAM_COUNT_CAVEAT, init=False)
 
     def lines(self) -> list[str]:
         out = [

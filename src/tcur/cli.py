@@ -40,6 +40,13 @@ def _positive_int(text):
     return v
 
 
+def _nonnegative_int(text):
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {v}")
+    return v
+
+
 def _emit(text, out_path):
     text = text.rstrip("\n") + "\n"  # exactly one trailing newline
     if out_path:
@@ -57,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("N1", "N2", "N3"))
     g.add_argument("--tubal-rank", type=_positive_int, default=None,
                    help="plant an exact low tubal rank (default: dense random)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_nonnegative_int, default=0)
     g.add_argument("--out", required=True, help="output checkpoint path")
 
     d = sub.add_parser("decompose", help="tensor CUR decomposition of a checkpoint")
@@ -72,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="raw tensor checkpoint to report rel_error against")
 
     v = sub.add_parser("verify", help="run the full invariant suite")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_nonnegative_int, default=0)
     v.add_argument("--inject-fault", choices=sorted(verify.FAULTS), default=None,
                    help="test hook: corrupt one library function for this run")
 
@@ -85,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step size (default: 1/lambda_max, closed form)")
     f.add_argument("--optimizer", choices=("gd", "adam"), default="gd")
     f.add_argument("--plant-mode", choices=trainer.PLANT_MODES, default="in_span")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=_nonnegative_int, default=0)
     f.add_argument("--rel-stop", type=float, default=1e-10,
                    help="stop once loss / initial loss falls below this")
     f.add_argument("--format", choices=("json", "csv"), default="json")
@@ -99,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--rank", type=_positive_int, default=3)
     t.add_argument("--steps", type=_positive_int, default=2000)
     t.add_argument("--plant-mode", choices=trainer.PLANT_MODES, default="in_span")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_nonnegative_int, default=0)
     t.add_argument("--no-timing", action="store_true",
                    help="zero the wall_ms column for bitwise-reproducible output")
     t.add_argument("--d", type=_positive_int, default=768,

@@ -2,9 +2,10 @@
 
 Columns are scored by summed Fourier-domain fiber norms, the top-r kept;
 rows are then scored on the restriction to the selected columns. The
-sampled sub-tensors C = W(:, J, :), U = W(I, J, :), R = W(I, :, :) are
-extracted in the Fourier domain and transformed back, which coincides with
-spatial-domain index selection because the mode-3 FFT acts tube-wise.
+sampled sub-tensors C = W(:, J, :) and R = W(I, :, :) are extracted in the
+Fourier domain and transformed back, which coincides with spatial-domain
+index selection because the mode-3 FFT acts tube-wise; U = W(I, J, :) is
+then the row sample C(I, :, :).
 
 Reconstruction is ``C * pinv(U) * R`` under the t-product. At n3 = 1 the
 t-product is the matrix product, so the same functions give per-matrix CUR.
@@ -51,6 +52,16 @@ class TcurFactors:
     sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR
 
 
+def _fiber_scores(fibers: np.ndarray, axis: int, empty: str) -> np.ndarray:
+    """Per-index sums over frontal slices of the fiber 2-norms along ``axis``,
+    normalized to sum to 1; raises ZeroTensor with ``empty`` if all are zero."""
+    per_index = np.linalg.norm(fibers, axis=axis).sum(axis=1)
+    total = float(per_index.sum())
+    if total == 0.0:
+        raise ZeroTensor(empty)
+    return per_index / total
+
+
 def column_scores(w_hat: np.ndarray) -> np.ndarray:
     """Normalized column scores from Fourier-domain fiber norms.
 
@@ -61,12 +72,7 @@ def column_scores(w_hat: np.ndarray) -> np.ndarray:
         ZeroTensor: all fibers have zero norm.
     """
     w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
-    fiber = np.linalg.norm(w_hat, axis=0)  # (n2, n3)
-    per_col = fiber.sum(axis=1)
-    total = float(per_col.sum())
-    if total == 0.0:
-        raise ZeroTensor("cannot score columns of an all-zero tensor")
-    return per_col / total
+    return _fiber_scores(w_hat, 0, "cannot score columns of an all-zero tensor")
 
 
 def row_scores(w_hat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -80,13 +86,7 @@ def row_scores(w_hat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
     cols = _validate_index_set(cols, w_hat.shape[1], "cols")
-    sub = w_hat[:, cols, :]
-    fiber = np.linalg.norm(sub, axis=1)  # (n1, n3)
-    per_row = fiber.sum(axis=1)
-    total = float(per_row.sum())
-    if total == 0.0:
-        raise ZeroTensor("selected columns have zero norm in every row")
-    return per_row / total
+    return _fiber_scores(w_hat[:, cols, :], 1, "selected columns have zero norm in every row")
 
 
 def select_top_r(scores: np.ndarray, r: int) -> np.ndarray:
@@ -143,16 +143,9 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
     cols = select_top_r(column_scores(w_hat), rank)
     rows = select_top_r(row_scores(w_hat, cols), rank)
     c = ifft_mode3(w_hat[:, cols, :])
-    u_core = ifft_mode3(w_hat[np.ix_(rows, cols)])
-    r_slab = ifft_mode3(w_hat[rows, :, :])
-    return TcurFactors(
-        C=c,
-        U_core=u_core,
-        R=r_slab,
-        rows=rows,
-        cols=cols,
-        rank=rank,
-    )
+    # The inverse FFT acts tube by tube, so W(I, J, :) is C's row sample.
+    return TcurFactors(C=c, U_core=c[rows], R=ifft_mode3(w_hat[rows, :, :]),
+                       rows=rows, cols=cols, rank=rank)
 
 
 def reconstruct(f: TcurFactors) -> np.ndarray:

@@ -58,17 +58,16 @@ def fft_mode3(t: np.ndarray) -> np.ndarray:
     return np.fft.fft(_as_tensor3(t), axis=2)
 
 
-def ifft_mode3(t_hat: np.ndarray, tol: float = DEFAULT_IMAG_TOL) -> np.ndarray:
+def ifft_mode3(t_hat: np.ndarray) -> np.ndarray:
     """Inverse DFT along mode 3 (with the 1/n3 factor), returning the real part.
 
     The imaginary residue is checked before being discarded: a spectrum
     that is not conjugate-symmetric along mode 3 cannot come from a real
-    tensor, so a residue above ``tol * (1 + max|real|)`` is a caller bug,
-    not rounding.
+    tensor, so a residue above ``DEFAULT_IMAG_TOL * (1 + max|real|)`` is a
+    caller bug, not rounding.
 
     Args:
         t_hat: complex tensor, shape (n1, n2, n3).
-        tol: relative imaginary-residue tolerance.
 
     Raises:
         ResidualImaginary: if the residue check fails.
@@ -77,10 +76,10 @@ def ifft_mode3(t_hat: np.ndarray, tol: float = DEFAULT_IMAG_TOL) -> np.ndarray:
     full = np.fft.ifft(arr, axis=2)
     imag_max = float(np.abs(full.imag).max())
     real_max = float(np.abs(full.real).max())
-    if imag_max > tol * (1.0 + real_max):
+    if imag_max > DEFAULT_IMAG_TOL * (1.0 + real_max):
         raise ResidualImaginary(
             f"imaginary residue {imag_max:.3e} exceeds "
-            f"{tol:.1e} * (1 + {real_max:.3e}); spectrum is not "
+            f"{DEFAULT_IMAG_TOL:.1e} * (1 + {real_max:.3e}); spectrum is not "
             "conjugate-symmetric along mode 3"
         )
     return np.ascontiguousarray(full.real)

@@ -141,30 +141,24 @@ def grad_core(a: Adapter, g: np.ndarray) -> np.ndarray:
     return tprod(ttranspose(a.C), tprod(g, ttranspose(a.R)))
 
 
-def finite_diff_grad(a: Adapter, task: SyntheticTask, eps: float = 1e-5) -> np.ndarray:
+def finite_diff_grad(a: Adapter, task: SyntheticTask) -> np.ndarray:
     """Central-difference gradient of the task loss over every core entry.
 
-    The per-entry step is ``eps * (1 + |entry|)``. Cost is two loss
+    The per-entry step is ``1e-5 * (1 + |entry|)``. Cost is two loss
     evaluations per core entry (rank^2 * n3 total), so keep dims small.
     Exact up to rounding on the quadratic loss.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     out = np.empty_like(a.U)
     for idx in np.ndindex(a.U.shape):
-        h = eps * (1.0 + abs(float(a.U[idx])))
+        h = 1e-5 * (1.0 + abs(float(a.U[idx])))
         u_plus = a.U.copy()
         u_plus[idx] += h
         u_minus = a.U.copy()
         u_minus[idx] -= h
-        lp = task_loss(_with_core(a, u_plus), task)
-        lm = task_loss(_with_core(a, u_minus), task)
+        lp = task_loss(replace(a, U=u_plus), task)
+        lm = task_loss(replace(a, U=u_minus), task)
         out[idx] = (lp - lm) / (2.0 * h)
     return out
-
-
-def _with_core(a: Adapter, u: np.ndarray) -> Adapter:
-    return Adapter(base=a.base, C=a.C, R=a.R, U=u, rank=a.rank)
 
 
 def hessian_apply(a: Adapter, v: np.ndarray) -> np.ndarray:
@@ -195,12 +189,12 @@ def hessian_max_eig(a: Adapter) -> float:
     lam = float(lams[k])
     x = np.outer(vh_c[k, 0].conj(), u_r[k, :, 0].conj())
     # A DC or Nyquist slice must be real: rotate the largest entry onto the
-    # real axis (irfft keeps only the real part of those slices).
+    # real axis (_from_spec rejects an imaginary part that irfft would drop).
     top = x.flat[np.argmax(np.abs(x))]
     x *= np.conj(top) / abs(top)
     spec = np.zeros((s_c.shape[0],) + x.shape, dtype=complex)
     spec[k] = x
-    v = np.fft.irfft(spec, n=a.U.shape[2], axis=0).transpose(1, 2, 0)
+    v = _from_spec(spec, a.U.shape[2])
     v /= fro_norm(v)
     residual = fro_norm(hessian_apply(a, v) - lam * v)
     if residual > _EIG_REL_TOL * lam:
@@ -248,17 +242,21 @@ def train(
         steps: number of update steps, >= 1.
         lr: step size, >= 0 (0 leaves the core unchanged).
         optimizer: "gd" or "adam" (Adam with the usual 0.9/0.999/1e-8).
-        rel_stop: optional relative early-stop threshold.
+        rel_stop: optional relative early-stop threshold, >= 0.
 
     Raises:
+        ValueError: steps < 1, lr or rel_stop negative or NaN, or an
+            unknown optimizer.
         NonFiniteInput: the initial loss is NaN or infinite.
         DivergenceDetected: a step's loss is NaN or infinite, or exceeded
             1e6 x the initial loss.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if lr < 0:
+    if not lr >= 0:  # also rejects NaN
         raise ValueError(f"lr must be >= 0, got {lr}")
+    if rel_stop is not None and not rel_stop >= 0:
+        raise ValueError(f"rel_stop must be >= 0, got {rel_stop}")
     if optimizer not in ("gd", "adam"):
         raise ValueError(f"optimizer must be 'gd' or 'adam', got {optimizer!r}")
 
@@ -299,42 +297,37 @@ def train(
     return history
 
 
-def _fit_tcur(task: SyntheticTask, rank: int, steps: int, rel_stop: float) -> tuple[float, int]:
+def _fit_tcur(task: SyntheticTask, rank: int, steps: int) -> tuple[float, int]:
     a = init_adapter(task.base, rank)
     lr = safe_step_size(a)
-    hist = train(a, task, steps=steps, lr=lr, optimizer="gd", rel_stop=rel_stop)
+    hist = train(a, task, steps=steps, lr=lr, optimizer="gd", rel_stop=1e-10)
     return hist.loss[-1], core_entries(rank, task.base.shape[2])
 
 
-def _fit_matrix_cur(task: SyntheticTask, rank: int, steps: int, rel_stop: float) -> tuple[float, int]:
+def _fit_matrix_cur(task: SyntheticTask, rank: int, steps: int) -> tuple[float, int]:
     # One independent n3 = 1 adapter per frontal slice; the quadratic loss
     # decomposes slice-wise, so the total is the sum of per-slice finals.
     fits = [
-        _fit_tcur(replace(task, base=task.base[:, :, k:k + 1].copy(),
-                          target=task.target[:, :, k:k + 1].copy(), plant_rank=rank),
-                  rank, steps, rel_stop)
+        _fit_tcur(replace(task, base=task.base[:, :, k:k + 1], target=task.target[:, :, k:k + 1]),
+                  rank, steps)
         for k in range(task.base.shape[2])
     ]
     return sum(loss for loss, _ in fits), sum(params for _, params in fits)
 
 
-def run_baselines(
-    task: SyntheticTask,
-    rank: int,
-    steps: int = 2000,
-    rel_stop: float = 1e-10,
-) -> ComparisonReport:
+def run_baselines(task: SyntheticTask, rank: int, steps: int = 2000) -> ComparisonReport:
     """Fit the task with the full, per-matrix, and tensor-adapter routes.
 
     The full route is the unconstrained optimum in closed form (the final
     weights ARE the target, so its loss is exactly zero); the other two
-    run gradient descent with their safe step sizes and an early stop.
+    run gradient descent with their safe step sizes and an early stop at
+    ``1e-10`` x the initial loss.
     """
     dims = task.base.shape
     fits = (
         ("full", lambda: (loss_tensor_target(task.target, task.target), int(np.prod(dims)))),
-        ("matrix_cur", lambda: _fit_matrix_cur(task, rank, steps, rel_stop)),
-        ("tcur", lambda: _fit_tcur(task, rank, steps, rel_stop)),
+        ("matrix_cur", lambda: _fit_matrix_cur(task, rank, steps)),
+        ("tcur", lambda: _fit_tcur(task, rank, steps)),
     )
     records = []
     for method, fit in fits:

@@ -112,8 +112,8 @@ class TestStacking:
         layers = self.make_layers(rng)
         w_sa, w_up, w_down = stack_layers(layers, self.cfg)
         for li, lw in enumerate(layers):
-            for ri, mat in enumerate(lw.roles()):
-                assert np.array_equal(w_sa[:, :, 4 * li + ri], mat)
+            for ri, role in enumerate(ROLE_ORDER):
+                assert np.array_equal(w_sa[:, :, 4 * li + ri], getattr(lw, role))
             assert np.array_equal(w_up[:, :, li], lw.up)
             assert np.array_equal(w_down[:, :, li], lw.down)
 
@@ -123,8 +123,8 @@ class TestStacking:
         back = unstack_layers(*stack_layers(layers, self.cfg), self.cfg)
         assert len(back) == len(layers)
         for lw, rt in zip(layers, back):
-            for m1, m2 in zip((*lw.roles(), lw.up, lw.down), (*rt.roles(), rt.up, rt.down)):
-                assert np.array_equal(m1, m2)
+            for name in (*ROLE_ORDER, "up", "down"):
+                assert np.array_equal(getattr(lw, name), getattr(rt, name))
 
     def test_role_order_is_qkvo(self):
         assert ROLE_ORDER == ("q", "k", "v", "o")
@@ -164,7 +164,7 @@ class TestStacking:
         stacked = stack_layers(self.make_layers(rng), self.cfg)
         before = [w.copy() for w in stacked]
         for lw in unstack_layers(*stacked, self.cfg):
-            for m in (*lw.roles(), lw.up, lw.down):
+            for m in (getattr(lw, name) for name in (*ROLE_ORDER, "up", "down")):
                 assert m.flags.c_contiguous
                 m[...] = 0.0
         assert all(np.array_equal(w, b) for w, b in zip(stacked, before))

@@ -245,6 +245,27 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
         assert code == 1, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--dims", "2", "2", "2", "--out", "x.tcur"),
+    ("verify",),
+    ("finetune",),
+    ("report",),
+])
+def test_negative_seed_exits_one(argv, capsys):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert "non-negative integer" in err
+
+
+@pytest.mark.parametrize("flags", [("--lr", "nan"), ("--rel-stop", "nan"), ("--rel-stop", "-1")])
+def test_finetune_bad_step_size_or_rel_stop_exits_one(flags, capsys):
+    code, out, err = run_cli(capsys, "finetune", "--steps", "5", *flags)
+    assert code == 1
+    assert out == ""
+    assert "ValueError" in err
+
+
 def test_rank_out_of_range_exits_one(tmp_path, capsys):
     w_path = str(tmp_path / "w.tcur")
     run_cli(capsys, "gen", "--dims", "4", "4", "2", "--seed", "0", "--out", w_path)

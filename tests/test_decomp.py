@@ -7,6 +7,7 @@ from tcur import (
     ZeroTensor,
     column_scores,
     fft_mode3,
+    ifft_mode3,
     reconstruct,
     rel_error,
     row_scores,
@@ -121,6 +122,17 @@ def test_factors_sample_the_spatial_tensor():
     assert rel_error(f.C, w[:, f.cols, :]) <= 1e-12
     assert rel_error(f.U_core, w[np.ix_(f.rows, f.cols)]) <= 1e-12
     assert rel_error(f.R, w[f.rows, :, :]) <= 1e-12
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 8])
+def test_core_is_the_row_sample_of_c(n3):
+    # U_core is not transformed on its own: it is C's row sample, bit for
+    # bit what an inverse FFT of the sampled spectrum gives.
+    rng = np.random.default_rng(40 + n3)
+    w = rng.standard_normal((7, 6, n3))
+    f = tcur(w, 3)
+    assert np.array_equal(f.U_core, f.C[f.rows])
+    assert np.array_equal(f.U_core, ifft_mode3(fft_mode3(w)[np.ix_(f.rows, f.cols)]))
 
 
 def test_exact_reconstruction_at_true_tubal_rank():

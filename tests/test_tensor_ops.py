@@ -130,12 +130,15 @@ def test_ifft_rejects_asymmetric_spectrum():
         ifft_mode3(bad)
 
 
-def test_ifft_tolerance_is_adjustable():
+def test_ifft_rejects_residue_above_fixed_tolerance():
+    # The tolerance is 1e-8 relative: 1e-12 of imaginary DC is rounding,
+    # 1e-7 is a spectrum that was never real.
     h = fft_mode3(np.ones((2, 2, 2)))
+    h[0, 0, 0] += 1e-12j
+    ifft_mode3(h)
     h[0, 0, 0] += 1e-7j
     with pytest.raises(ResidualImaginary):
         ifft_mode3(h)
-    ifft_mode3(h, tol=1e-4)  # loosened, passes
 
 
 def test_half_spectrum_inverse_rejects_nonreal_dc_and_nyquist():

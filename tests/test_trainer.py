@@ -186,6 +186,19 @@ def test_train_argument_validation():
         train(a, task, steps=1, lr=0.1, optimizer="sgd")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"lr": float("nan")},
+    {"lr": 0.1, "rel_stop": float("nan")},
+    {"lr": 0.1, "rel_stop": -1e-6},
+])
+def test_train_rejects_nan_step_size_and_bad_rel_stop(kwargs):
+    task = make_task((4, 4, 2), 2, seed=5)
+    a = init_adapter(task.base, 2)
+    with pytest.raises(ValueError):
+        train(a, task, steps=3, **kwargs)
+    assert not a.U.any()
+
+
 def test_safe_step_descent_is_monotone_and_leaves_factors_alone():
     task = make_task((8, 8, 4), 3, "in_span", seed=6)
     a = init_adapter(task.base, 3)
