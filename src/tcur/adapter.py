@@ -133,12 +133,14 @@ def unstack_layers(
 
 @dataclass
 class Adapter:
-    """Frozen (base, C, R) plus the learnable core U.
+    """Frozen (base, C, R) plus the learnable core U; ``rank`` is U's size.
 
     Construction marks base, C and R read-only in place; training only
     ever reassigns U. A zero U makes the adapter a no-op.
 
     Raises:
+        DimMismatch: base is not (n1, n2, n3), or C, R and U are not
+            (n1, r, n3), (r, n2, n3) and (r, r, n3) for it.
         NonFiniteInput: C, R or U has a NaN or infinite entry (the
             r-sized factors; ``tcur`` and the checkpoint reader check base).
     """
@@ -147,11 +149,17 @@ class Adapter:
     C: np.ndarray      # (n1, rank, n3), frozen
     R: np.ndarray      # (rank, n2, n3), frozen
     U: np.ndarray      # (rank, rank, n3), learnable
-    rank: int
+
+    rank = property(lambda self: self.U.shape[0])
 
     def __post_init__(self):
-        for name in ("C", "R", "U"):
-            if not np.isfinite(getattr(self, name)).all():
+        n1, n2, n3 = _as_tensor3(self.base, "adapter base").shape
+        r = _as_tensor3(self.U, "adapter factor U").shape[0]
+        for name, want in (("C", (n1, r, n3)), ("R", (r, n2, n3)), ("U", (r, r, n3))):
+            t = getattr(self, name)
+            if np.shape(t) != want:
+                raise DimMismatch(f"adapter factor {name} has shape {np.shape(t)}, not {want}")
+            if not np.isfinite(t).all():
                 raise NonFiniteInput(f"adapter factor {name} has NaN or infinite entries")
         for frozen in (self.base, self.C, self.R):
             frozen.setflags(write=False)
@@ -170,7 +178,7 @@ def init_adapter(base: np.ndarray, rank: int) -> Adapter:
     """
     base = _as_tensor3(base, "base").copy()
     f = tcur(base, rank)
-    return Adapter(base=base, C=f.C, R=f.R, U=np.zeros((rank, rank, base.shape[2])), rank=rank)
+    return Adapter(base=base, C=f.C, R=f.R, U=np.zeros((rank, rank, base.shape[2])))
 
 
 def delta(a: Adapter) -> np.ndarray:

@@ -21,6 +21,7 @@ the writer writes.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 import zlib
@@ -30,7 +31,7 @@ import numpy as np
 
 from .adapter import ROLE_ORDER, Adapter
 from .decomp import TcurFactors
-from .errors import CorruptCheckpoint, NonFiniteInput, UnsupportedVersion
+from .errors import CorruptCheckpoint, TcurError, UnsupportedVersion
 
 MAGIC = b"TCUR"
 VERSION = 1
@@ -61,18 +62,16 @@ def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
     Raises:
         TypeError: not a raw tensor, TcurFactors, or Adapter.
         ValueError: a tensor is not third-order with positive dims or has
-            non-finite entries; dims disagree across tensors or with the
-            rank; an index set is not ``rank`` ascending in-range indices;
-            ``sv_tol_factor`` is not finite and >= 0.
+            non-finite entries; dims disagree across tensors; an index set
+            is not ``rank`` ascending in-range indices.
     """
     kind = next((k for k, spec in _KINDS.items() if isinstance(payload, spec[1])), None)
     if kind is None:
         raise TypeError(f"unsupported checkpoint payload type: {type(payload).__name__}")
     name, ptype, dims, fields = _KINDS[kind]
-    parts = {"tensor": payload} if ptype is np.ndarray else vars(payload)
-    extras = {f: held(parts[f]) for f, held in fields.items()}
-    size = {"r": extras["rank"]} if "rank" in extras else {}
-    tensors = {}
+    parts = {f: payload if ptype is np.ndarray else getattr(payload, f)
+             for f in (*dims, *fields)}
+    size, tensors = {}, {}
     for tname, symbols in dims.items():
         t = tensors[tname] = np.asarray(parts[tname], dtype=np.float64)
         if (t.ndim != 3 or min(t.shape) < 1
@@ -81,13 +80,12 @@ def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
                              f"not ({', '.join(symbols)}) with {size}")
         if not np.isfinite(t).all():
             raise ValueError(f"checkpoint tensor {tname!r} contains non-finite entries")
+    extras = {f: held(parts[f]) for f, held in fields.items()}
     for f, s in (("rows", "a"), ("cols", "b")):
         idx = extras.get(f)
         if idx is not None and (idx.shape != (size["r"],) or idx[0] < 0
                                 or idx[-1] >= size[s] or (np.diff(idx) <= 0).any()):
             raise ValueError(f"{f} must be {size['r']} ascending indices below {size[s]}")
-    if not 0.0 <= extras.get("sv_tol_factor", 0.0) < np.inf:
-        raise ValueError(f"sv_tol_factor {extras['sv_tol_factor']} is not finite and >= 0")
     meta = {
         "kind": name,
         "layout": LAYOUT,
@@ -192,9 +190,10 @@ def read_checkpoint(path):
     _, ptype, _, fields = _KINDS[kind]
     try:
         parts.update((f, held(meta[f])) for f, held in fields.items())
-        payload = parts["tensor"] if ptype is np.ndarray else ptype(**parts)
+        payload = (parts["tensor"] if ptype is np.ndarray
+                   else ptype(**{f.name: parts[f.name] for f in dataclasses.fields(ptype)}))
         if _encode(payload)[1] != meta_bytes:
             raise ValueError("meta is not what the writer renders for this payload")
-    except (KeyError, TypeError, ValueError, OverflowError, NonFiniteInput) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, TcurError) as e:
         raise CorruptCheckpoint(f"inconsistent metadata: {e}") from e
     return payload

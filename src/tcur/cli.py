@@ -193,7 +193,7 @@ def cmd_finetune(args) -> int:
                          optimizer=args.optimizer, rel_stop=args.rel_stop)
     if args.save_adapter is not None:
         ckpt.write_checkpoint(args.save_adapter, a)
-    text = (rpt.render_history_json(hist, args.seed, args.optimizer, lr)
+    text = (rpt.render_history_json(hist, args.seed, args.optimizer)
             if args.format == "json" else rpt.render_history_csv(hist, args.seed))
     _emit(text, args.out)
     return 0

@@ -14,6 +14,7 @@ t-product is the matrix product, so the same functions give per-matrix CUR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,8 +40,8 @@ class TcurFactors:
         R: row slab, (rank, n2, n3).
         rows: selected row indices I, ascending.
         cols: selected column indices J, ascending.
-        rank: number of sampled rows = columns.
-        sv_tol_factor: truncation factor carried to reconstruction.
+        rank: number of sampled rows = columns, ``len(rows)``.
+        sv_tol_factor: the fixed truncation factor reconstruction uses.
     """
 
     C: np.ndarray
@@ -48,8 +49,9 @@ class TcurFactors:
     R: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    rank: int
-    sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR
+    sv_tol_factor: ClassVar[float] = DEFAULT_SV_TOL_FACTOR
+
+    rank = property(lambda self: len(self.rows))
 
 
 def _fiber_scores(fibers: np.ndarray, axis: int, empty: str) -> np.ndarray:
@@ -144,8 +146,7 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
     rows = select_top_r(row_scores(w_hat, cols), rank)
     c = ifft_mode3(w_hat[:, cols, :])
     # The inverse FFT acts tube by tube, so W(I, J, :) is C's row sample.
-    return TcurFactors(C=c, U_core=c[rows], R=ifft_mode3(w_hat[rows, :, :]),
-                       rows=rows, cols=cols, rank=rank)
+    return TcurFactors(C=c, U_core=c[rows], R=ifft_mode3(w_hat[rows]), rows=rows, cols=cols)
 
 
 def reconstruct(f: TcurFactors) -> np.ndarray:
@@ -154,5 +155,5 @@ def reconstruct(f: TcurFactors) -> np.ndarray:
     Exact (to rounding) when the tensor had true tubal rank <= rank and
     the sampled core is full-rank, which holds generically.
     """
-    u_pinv = tpinv(f.U_core, f.sv_tol_factor)
+    u_pinv = tpinv(f.U_core)
     return tprod(f.C, tprod(u_pinv, f.R))

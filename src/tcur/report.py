@@ -27,13 +27,11 @@ class ReportRecord:
     params: int
     metric: float
     wall_ms: float
-    rank: int
-    dims: tuple[int, int, int]
 
 
 @dataclass
 class ComparisonReport:
-    """Baseline roster results for a single synthetic task."""
+    """Baseline roster results for one synthetic task; its records share ``rank`` and ``dims``."""
 
     records: list[ReportRecord]
     seed: int
@@ -45,31 +43,32 @@ class ComparisonReport:
         return replace(self, records=[replace(r, wall_ms=0.0) for r in self.records])
 
     def to_json(self) -> str:
-        return to_json(asdict(self))
+        records = [{**asdict(r), "rank": self.rank, "dims": self.dims} for r in self.records]
+        return to_json({**asdict(self), "records": records})
 
     def to_csv(self) -> str:
         return to_csv(
             ["method", "params", "metric", "wall_ms", "rank", "dims", "seed"],
-            ([r.method, r.params, repr(r.metric), repr(r.wall_ms), r.rank,
-              "x".join(map(str, r.dims)), self.seed] for r in self.records),
+            ([r.method, r.params, repr(r.metric), repr(r.wall_ms), self.rank,
+              "x".join(map(str, self.dims)), self.seed] for r in self.records),
         )
 
 
 def _history_steps(history):
-    return enumerate(zip(history.loss, history.grad_norm, history.step_size))
+    return enumerate(zip(history.loss, history.grad_norm))
 
 
-def render_history_json(history, seed: int, optimizer: str, lr: float) -> str:
+def render_history_json(history, seed: int, optimizer: str) -> str:
     return to_json({
         "seed": seed,
         "optimizer": optimizer,
-        "lr": lr,
+        "lr": history.lr,
         "initial_loss": history.initial_loss,
         "final_loss": history.loss[-1],
         "steps_run": len(history.loss),
         "steps": [
-            {"step": i, "loss": l, "grad_norm": g, "step_size": s}
-            for i, (l, g, s) in _history_steps(history)
+            {"step": i, "loss": l, "grad_norm": g, "step_size": history.lr}
+            for i, (l, g) in _history_steps(history)
         ],
     })
 
@@ -77,5 +76,5 @@ def render_history_json(history, seed: int, optimizer: str, lr: float) -> str:
 def render_history_csv(history, seed: int) -> str:
     return to_csv(
         ["step", "loss", "grad_norm", "step_size", "seed"],
-        ([i, repr(l), repr(g), repr(s), seed] for i, (l, g, s) in _history_steps(history)),
+        ([i, repr(l), repr(g), repr(history.lr), seed] for i, (l, g) in _history_steps(history)),
     )

@@ -30,7 +30,7 @@ from .errors import DimMismatch, ResidualImaginary, ZeroReference
 #: that was never conjugate-symmetric to begin with.
 DEFAULT_IMAG_TOL = 1e-8
 
-#: Default singular-value truncation factor for tpinv; the usual
+#: Singular-value truncation factor of tpinv, fixed: the usual
 #: LAPACK-style cutoff eps * max(n1, n2) * sigma_max.
 DEFAULT_SV_TOL_FACTOR = float(np.finfo(np.float64).eps)
 
@@ -192,12 +192,12 @@ def tidentity(n: int, n3: int) -> np.ndarray:
     return out
 
 
-def tpinv(a: np.ndarray, sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR) -> np.ndarray:
+def tpinv(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse in the t-product sense.
 
     Computed slice-wise in the Fourier domain: each complex frontal slice
     is pseudoinverted via its SVD, keeping only singular values above
-    ``sv_tol_factor * max(n1, n2) * sigma_max``, then transformed back.
+    ``DEFAULT_SV_TOL_FACTOR * max(n1, n2) * sigma_max``, then transformed back.
     sigma_max is the largest singular value over all slices (numpy's
     ``pinv`` rule for the block-diagonal Fourier operator), so a slice that
     is zero up to FFT rounding inverts to zero, as does an all-zero tensor.
@@ -207,7 +207,7 @@ def tpinv(a: np.ndarray, sv_tol_factor: float = DEFAULT_SV_TOL_FACTOR) -> np.nda
     """
     a = _as_tensor3(a)
     u, s, vh = np.linalg.svd(_to_spec(a), full_matrices=False)
-    keep = s > sv_tol_factor * max(a.shape[:2]) * s.max(initial=0.0)
+    keep = s > DEFAULT_SV_TOL_FACTOR * max(a.shape[:2]) * s.max(initial=0.0)
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     pinv_hat = (vh.conj().swapaxes(1, 2) * inv_s[:, None, :]) @ u.conj().swapaxes(1, 2)
     return _from_spec(pinv_hat, a.shape[2])

@@ -215,12 +215,12 @@ def safe_step_size(a: Adapter) -> float:
 
 @dataclass
 class TrainHistory:
-    """Per-step record of one training run (loss is post-update)."""
+    """Per-step record of one training run (loss is post-update) at step size ``lr``."""
 
     initial_loss: float
     loss: list[float]
     grad_norm: list[float]
-    step_size: list[float]
+    lr: float
 
 
 def train(
@@ -264,7 +264,7 @@ def train(
     if not math.isfinite(initial):
         raise NonFiniteInput(f"initial loss is {initial}: base, target or adapter not finite")
     guard = 1e6 * initial
-    history = TrainHistory(initial_loss=initial, loss=[], grad_norm=[], step_size=[])
+    history = TrainHistory(initial_loss=initial, loss=[], grad_norm=[], lr=lr)
 
     n3 = a.base.shape[2]
     c_hat, r_hat, d_hat = _spec_task(a, task)
@@ -286,7 +286,6 @@ def train(
         loss = _spec_loss(e_hat, n3)  # == task_loss(a, task), bit for bit
         history.loss.append(loss)
         history.grad_norm.append(fro_norm(grad))
-        history.step_size.append(lr)
         if not math.isfinite(loss) or loss > guard:
             raise DivergenceDetected(
                 f"loss {loss:.3e} is not finite or exceeded 1e6 x initial "
@@ -334,6 +333,5 @@ def run_baselines(task: SyntheticTask, rank: int, steps: int = 2000) -> Comparis
         t0 = time.perf_counter()
         loss, params = fit()
         records.append(ReportRecord(method=method, params=params, metric=loss,
-                                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                                    rank=rank, dims=dims))
+                                    wall_ms=(time.perf_counter() - t0) * 1e3))
     return ComparisonReport(records=records, seed=task.seed, rank=rank, dims=dims)

@@ -38,6 +38,38 @@ def test_adapter_factor_shapes():
     assert a.rank == 3
 
 
+def test_adapter_rank_is_the_core_size_and_read_only():
+    a = init_adapter(np.random.default_rng(2).standard_normal((6, 9, 4)), 3)
+    a.U = np.zeros((3, 3, 4))
+    assert a.rank == a.U.shape[0] == 3
+    with pytest.raises(AttributeError):
+        a.rank = 2
+
+
+def _adapter_parts(seed=5):
+    a = init_adapter(np.random.default_rng(seed).standard_normal((5, 4, 3)), 2)
+    return {"base": a.base, "C": a.C, "R": a.R, "U": a.U}
+
+
+@pytest.mark.parametrize("field,bad_shape", [
+    ("C", (5, 2, 2)),  # n3 cut short
+    ("C", (4, 2, 3)),  # n1 not the base's
+    ("R", (2, 3, 3)),  # n2 not the base's
+    ("R", (3, 4, 3)),  # rank not U's
+    ("U", (2, 3, 3)),  # not square
+    ("U", (3, 3, 3)),  # rank not C's or R's
+    ("U", (2, 2)),     # not third-order
+    ("base", (5, 4, 2)),  # a base of another shape
+    ("base", (5, 4)),
+], ids=["C-n3", "C-n1", "R-n2", "R-rank", "U-not-square", "U-rank", "U-2d",
+        "base-n3", "base-2d"])
+def test_hand_built_adapter_rejects_factors_that_do_not_fit(field, bad_shape):
+    parts = _adapter_parts()
+    parts[field] = np.zeros(bad_shape)
+    with pytest.raises(DimMismatch):
+        Adapter(**parts)
+
+
 def test_frozen_factors_refuse_writes():
     a = init_adapter(np.random.default_rng(3).standard_normal((5, 5, 2)), 2)
     for arr in (a.base, a.C, a.R):
@@ -50,7 +82,7 @@ def test_frozen_factors_refuse_writes():
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_hand_built_adapter_rejects_non_finite_factors(field, bad):
     a = init_adapter(np.random.default_rng(4).standard_normal((5, 4, 3)), 2)
-    parts = {"base": a.base, "C": a.C.copy(), "R": a.R.copy(), "U": a.U.copy(), "rank": 2}
+    parts = {"base": a.base, "C": a.C.copy(), "R": a.R.copy(), "U": a.U.copy()}
     parts[field][0, 1, 2] = bad
     with pytest.raises(NonFiniteInput, match=field):
         safe_step_size(Adapter(**parts))

@@ -6,6 +6,7 @@ reader to the format, not to each other.
 """
 
 import dataclasses
+import hashlib
 import json
 import struct
 import tempfile
@@ -22,6 +23,7 @@ from tcur import (
     Adapter,
     CheckpointError,
     CorruptCheckpoint,
+    DimMismatch,
     TcurFactors,
     UnsupportedVersion,
     init_adapter,
@@ -33,6 +35,8 @@ from tcur import (
 
 LAYOUT = "slice-major:frontal-slice-contiguous,row-major-within-slice,f64-le"
 KIND_NAMES = ("raw_tensor", "tcur_factors", "adapter")
+#: Factor metadata records the fixed pinv cutoff factor, float64 eps.
+SV_TOL_FACTOR = 2.220446049250313e-16
 
 
 def render(meta: dict) -> bytes:
@@ -75,13 +79,13 @@ def craft_kind(kind: int, tensors: dict, extras: dict) -> bytes:
 
 def factor_parts(f: TcurFactors) -> tuple[dict, dict]:
     tensors = {"C": f.C, "U_core": f.U_core, "R": f.R}
-    extras = {"rank": f.rank, "rows": [int(i) for i in f.rows],
-              "cols": [int(j) for j in f.cols], "sv_tol_factor": f.sv_tol_factor}
+    extras = {"rank": len(f.rows), "rows": [int(i) for i in f.rows],
+              "cols": [int(j) for j in f.cols], "sv_tol_factor": SV_TOL_FACTOR}
     return tensors, extras
 
 
 def adapter_parts(a: Adapter) -> tuple[dict, dict]:
-    return {"base": a.base, "C": a.C, "R": a.R, "U": a.U}, {"rank": a.rank}
+    return {"base": a.base, "C": a.C, "R": a.R, "U": a.U}, {"rank": a.U.shape[0]}
 
 
 def trained_adapter(seed: int) -> Adapter:
@@ -121,7 +125,6 @@ def test_factors_roundtrip(tmp_path):
     assert back.rows.tolist() == f.rows.tolist()
     assert back.cols.tolist() == f.cols.tolist()
     assert back.rank == f.rank
-    assert back.sv_tol_factor == f.sv_tol_factor
     assert np.array_equal(reconstruct(back), reconstruct(f))
     write_checkpoint(path, back)
     assert path.read_bytes() == first
@@ -382,23 +385,19 @@ def test_non_canonical_meta_rejected(tmp_path, meta):
         read_checkpoint(path)
 
 
-def _bad_factors_nan_tol():
-    f = tcur(np.random.default_rng(11).standard_normal((6, 7, 4)), 3)
-    return dataclasses.replace(f, sv_tol_factor=float("nan"))
-
-
 def _bad_factors_rows():
     f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 5)
     return dataclasses.replace(f, rows=np.array([0, 0, 99]))
 
 
 def _bad_adapter_core():
+    # The Adapter checks U's shape on construction; training may reassign it.
     a = init_adapter(np.random.default_rng(13).standard_normal((5, 6, 2)), 2)
-    return Adapter(base=a.base, C=a.C, R=a.R, U=np.zeros((3, 3, 2)), rank=2)
+    a.U = np.zeros((3, 3, 2))
+    return a
 
 
 CROSS_FIELD = {
-    "nan-sv-tol-factor": (1, _bad_factors_nan_tol, factor_parts),
     "rows-not-an-index-set": (1, _bad_factors_rows, factor_parts),
     "core-dims-not-rank": (2, _bad_adapter_core, adapter_parts),
 }
@@ -422,6 +421,76 @@ def test_cross_field_inconsistency_rejected_before_write(tmp_path, case):
     with pytest.raises(ValueError):
         write_checkpoint(path, make())
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1e-12, 2 * SV_TOL_FACTOR],
+                         ids=["nan", "zero", "1e-12", "twice-eps"])
+def test_factor_sv_tol_factor_other_than_the_constant_rejected_on_read(tmp_path, tol):
+    tensors, extras = factor_parts(tcur(np.random.default_rng(11).standard_normal((6, 7, 4)), 3))
+    path = tmp_path / "f.tcur"
+    path.write_bytes(craft_kind(1, tensors, {**extras, "sv_tol_factor": tol}))  # valid CRC
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+@pytest.mark.parametrize("rank", [1, 3, 7])
+def test_recorded_rank_other_than_the_arrays_rejected_on_read(tmp_path, kind, rank):
+    # Rank 2 arrays; the rank in the metadata is derived, never trusted.
+    payload = (None, tcur(np.random.default_rng(12).standard_normal((5, 6, 3)), 2),
+               trained_adapter(12))[kind]
+    tensors, extras = (None, factor_parts, adapter_parts)[kind](payload)
+    path = tmp_path / "w.tcur"
+    path.write_bytes(craft_kind(kind, tensors, {**extras, "rank": rank}))  # valid CRC
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
+def test_adapter_factor_that_does_not_fit_the_base_rejected_on_read(tmp_path):
+    # A file whose rank, C, R and U agree but whose base has another n2:
+    # the Adapter raises DimMismatch, and the reader names the file.
+    a = trained_adapter(13)
+    tensors, extras = adapter_parts(a)
+    tensors["base"] = np.ones((4, 6, 2))
+    with pytest.raises(DimMismatch):
+        Adapter(**tensors)
+    path = tmp_path / "a.tcur"
+    path.write_bytes(craft_kind(2, tensors, extras))  # valid CRC
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
+# Small files as the format has always written them, with the rank and the
+# pinv cutoff factor recorded in the metadata. The digests are those of the
+# files the writer produced for these arrays before both became derived.
+_C = np.arange(1.0, 13.0).reshape(3, 2, 2)
+_R = -np.arange(1.0, 17.0).reshape(2, 4, 2)
+EARLIER_FILES = {
+    1: ({"C": _C, "U_core": _C[[0, 2]], "R": _R},
+        {"rank": 2, "rows": [0, 2], "cols": [1, 3], "sv_tol_factor": SV_TOL_FACTOR},
+        "92fbb1954dbffb7eb1260b38c11a41b3b8c8b3b6310d08a23e9d96bf9ffe4015"),
+    2: ({"base": np.arange(24.0).reshape(3, 4, 2) / 8, "C": _C, "R": _R,
+         "U": np.arange(1.0, 9.0).reshape(2, 2, 2) / 4},
+        {"rank": 2},
+        "59dc40884ef141f541acf8fddbe9c1092e023b5cc0ec1421046192edfb4336ac"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EARLIER_FILES))
+def test_earlier_files_read_back_equal(tmp_path, kind):
+    tensors, extras, digest = EARLIER_FILES[kind]
+    raw = craft_kind(kind, tensors, extras)
+    assert hashlib.sha256(raw).hexdigest() == digest
+    path = tmp_path / "old.tcur"
+    path.write_bytes(raw)
+    back = read_checkpoint(path)
+    for name, t in tensors.items():
+        assert np.array_equal(getattr(back, name), t), name
+    assert back.rank == 2
+    if kind == 1:
+        assert back.rows.tolist() == [0, 2] and back.cols.tolist() == [1, 3]
+    write_checkpoint(path, back)
+    assert path.read_bytes() == raw
 
 
 # ------------------------------------------------------------------ fuzzing

@@ -164,6 +164,6 @@ def test_factor_shapes_and_immutability():
     assert f.C.shape == (6, 2, 4)
     assert f.U_core.shape == (2, 2, 4)
     assert f.R.shape == (2, 7, 4)
-    assert f.rank == 2
+    assert f.rank == len(f.rows) == 2
     with pytest.raises(AttributeError):
-        f.rank = 3  # frozen dataclass
+        f.rank = 3  # derived from rows, and the dataclass is frozen

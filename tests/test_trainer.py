@@ -247,7 +247,8 @@ def test_early_stop_shortens_history():
     hist = train(a, task, steps=5000, lr=safe_step_size(a), rel_stop=1e-6)
     assert len(hist.loss) < 5000
     assert hist.loss[-1] <= 1e-6 * hist.initial_loss
-    assert len(hist.loss) == len(hist.grad_norm) == len(hist.step_size)
+    assert len(hist.loss) == len(hist.grad_norm)
+    assert hist.lr == safe_step_size(a)
 
 
 def test_hessian_operator_and_step_size():
@@ -312,7 +313,7 @@ def test_curvature_mismatch_when_gradient_path_disagrees(monkeypatch):
 def test_zero_curvature_raises_value_error():
     rng = np.random.default_rng(18)
     a = Adapter(base=rng.standard_normal((5, 4, 3)), C=np.zeros((5, 2, 3)),
-                R=rng.standard_normal((2, 4, 3)), U=np.zeros((2, 2, 3)), rank=2)
+                R=rng.standard_normal((2, 4, 3)), U=np.zeros((2, 2, 3)))
     with pytest.raises(ValueError, match="zero curvature"):
         safe_step_size(a)
 
