@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dims", nargs=3, type=_positive_int, default=(12, 12, 6),
                    metavar=("N1", "N2", "N3"))
     t.add_argument("--rank", type=_positive_int, default=3)
-    t.add_argument("--steps", type=_positive_int, default=2000)
     t.add_argument("--plant-mode", choices=trainer.PLANT_MODES, default="in_span")
     t.add_argument("--seed", type=_nonnegative_int, default=0)
     t.add_argument("--no-timing", action="store_true",
@@ -220,7 +219,7 @@ def cmd_report(args) -> int:
 
     task = trainer.make_task(tuple(args.dims), args.rank, args.plant_mode,
                              seed=args.seed)
-    comparison = trainer.run_baselines(task, args.rank, steps=args.steps)
+    comparison = trainer.run_baselines(task, args.rank)
     if args.no_timing:
         comparison = comparison.without_timing()
     text = comparison.to_json() if args.format == "json" else comparison.to_csv()

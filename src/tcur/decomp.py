@@ -56,9 +56,12 @@ class TcurFactors:
 
 def _fiber_scores(fibers: np.ndarray, axis: int, empty: str) -> np.ndarray:
     """Per-index sums over frontal slices of the fiber 2-norms along ``axis``,
-    normalized to sum to 1; raises ZeroTensor with ``empty`` if all are zero."""
+    normalized to sum to 1; raises ZeroTensor with ``empty`` if all are zero,
+    and NonFiniteInput if a norm is NaN or infinite (e.g. an overflowed FFT)."""
     per_index = np.linalg.norm(fibers, axis=axis).sum(axis=1)
     total = float(per_index.sum())
+    if not np.isfinite(total):  # norms are >= 0, so one NaN or inf reaches the total
+        raise NonFiniteInput(f"fiber norms sum to {total}: spectrum is not finite")
     if total == 0.0:
         raise ZeroTensor(empty)
     return per_index / total
@@ -72,6 +75,7 @@ def column_scores(w_hat: np.ndarray) -> np.ndarray:
 
     Raises:
         ZeroTensor: all fibers have zero norm.
+        NonFiniteInput: a fiber norm is NaN or infinite.
     """
     w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
     return _fiber_scores(w_hat, 0, "cannot score columns of an all-zero tensor")
@@ -85,6 +89,7 @@ def row_scores(w_hat: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     Raises:
         ZeroTensor: the restricted sub-tensor is all zero.
+        NonFiniteInput: a fiber norm is NaN or infinite.
     """
     w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
     cols = _validate_index_set(cols, w_hat.shape[1], "cols")
@@ -98,8 +103,11 @@ def select_top_r(scores: np.ndarray, r: int) -> np.ndarray:
 
     Raises:
         RankOutOfRange: r outside [1, len(scores)].
+        NonFiniteInput: a score is NaN or infinite.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
+    if not np.isfinite(scores).all():
+        raise NonFiniteInput("cannot rank NaN or infinite scores")
     if not 1 <= r <= scores.size:
         raise RankOutOfRange(f"rank {r} outside [1, {scores.size}]")
     # Stable sort on the negated scores keeps the original (ascending index)
@@ -131,7 +139,7 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
         rank: number of columns and rows to sample, in [1, min(n1, n2)].
 
     Raises:
-        NonFiniteInput: w has a NaN or infinite entry.
+        NonFiniteInput: w has a NaN or infinite entry, or its FFT overflows.
         RankOutOfRange: rank outside [1, min(n1, n2)].
         ZeroTensor: w has zero norm.
     """

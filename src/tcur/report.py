@@ -21,7 +21,7 @@ def to_csv(header, rows) -> str:
 
 @dataclass(frozen=True)
 class ReportRecord:
-    """One method's result on one task; ``metric`` is its final loss on the task."""
+    """One method's result on one task; ``metric`` is its optimal loss on the task."""
 
     method: str  # one of: full, matrix_cur, tcur
     params: int

@@ -94,7 +94,7 @@ def test_finetune_csv_format(capsys):
 
 def test_report_baselines_json_and_determinism(capsys):
     args = ("report", "--kind", "baselines", "--dims", "8", "8", "3", "--rank", "2",
-            "--steps", "300", "--seed", "2", "--no-timing")
+            "--seed", "2", "--no-timing")
     code, out1, _ = run_cli(capsys, *args)
     assert code == 0
     rep = json.loads(out1)
@@ -107,8 +107,7 @@ def test_report_baselines_json_and_determinism(capsys):
 
 def test_report_baselines_csv(capsys):
     code, out, _ = run_cli(capsys, "report", "--dims", "6", "6", "2", "--rank", "2",
-                           "--steps", "100", "--seed", "4", "--format", "csv",
-                           "--no-timing")
+                           "--seed", "4", "--format", "csv", "--no-timing")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "method,params,metric,wall_ms,rank,dims,seed"
@@ -177,7 +176,7 @@ def test_report_params_csv_exact_bytes(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("finetune", "--dims", "4", "4", "2", "--rank", "2", "--steps", "5"),
-    ("report", "--dims", "4", "4", "2", "--rank", "2", "--steps", "5", "--no-timing"),
+    ("report", "--dims", "4", "4", "2", "--rank", "2", "--no-timing"),
 ])
 def test_csv_output_ends_in_one_newline(argv, tmp_path, capsys):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
@@ -238,6 +237,7 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
         ("finetune", "--optimizer", "newton"),
         ("verify", "--inject-fault", "not-a-fault"),
         ("verify", "--tol", "10"),                                   # no such flag
+        ("report", "--steps", "5"),                  # closed-form baselines take no steps
     ]
     for argv in bad_calls:
         code = main(list(argv))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -320,7 +322,7 @@ def test_zero_curvature_raises_value_error():
 
 def test_run_baselines_report():
     task = make_task((10, 10, 4), 3, "in_span", seed=2)
-    rep = run_baselines(task, 3, steps=1500)
+    rep = run_baselines(task, 3)
     methods = [r.method for r in rep.records]
     assert methods == ["full", "matrix_cur", "tcur"]
     by = {r.method: r for r in rep.records}
@@ -332,3 +334,66 @@ def test_run_baselines_report():
     assert by["tcur"].metric < by["matrix_cur"].metric  # slice-wise route cannot mix slices
     assert rep.seed == 2
     assert all(r.wall_ms >= 0.0 for r in rep.records)
+
+
+def _dense_floor(task, r):
+    """Least-squares optimum of ``0.5 * ||C * U * R - D||^2`` over the dense
+    operator vec(U) -> vec(C * U * R), with C and R from ``init_adapter``.
+
+    The operator comes from the t-product's definition as a circular
+    convolution of tubes, (C * U * R)_k = sum_{p, q} C_p U_q R_{k-p-q}, so no
+    FFT is involved: column (i, j, q) holds C(:, i) conv R(j, :) shifted by q.
+    """
+    a = init_adapter(task.base, r)
+    n3 = task.base.shape[2]
+    shift = (np.arange(n3)[:, None] - np.arange(n3)[None, :]) % n3  # (m - p) mod n3
+    conv = np.einsum("aip,jbmp->aijbm", a.C, a.R[:, :, shift])
+    op = conv[..., shift].transpose(0, 3, 4, 1, 2, 5).reshape(task.base.size, a.U.size)
+    d = (task.target - task.base).ravel()
+    res = op @ np.linalg.lstsq(op, d, rcond=None)[0] - d
+    return 0.5 * float(res @ res)
+
+
+def _closed_form_cases():
+    # Every (rank, n3) with rank^2 * n3 <= 200 for n3 in 1..6, in and out of span.
+    for i, (dims, r) in enumerate(_small_core_shapes()):
+        for mode in ("in_span", "out_of_span"):
+            yield make_task(dims, r, mode, seed=i), r
+    # A tubal-rank-1 base: every Fourier slice of its rank-2 column sample C
+    # has rank 1, so the least-squares optimum is not unique.
+    rng = np.random.default_rng(41)
+    base = tprod(rng.standard_normal((6, 1, 4)), rng.standard_normal((1, 5, 4)))
+    yield SyntheticTask(base=base, target=base + rng.standard_normal(base.shape),
+                        plant_mode="out_of_span", seed=41, plant_rank=2), 2
+
+
+def test_baseline_metrics_are_the_dense_least_squares_optima():
+    cases = list(_closed_form_cases())
+    assert len(cases) == 101
+    c_hat = np.fft.fft(init_adapter(cases[-1][0].base, 2).C, axis=2).transpose(2, 0, 1)
+    s = np.linalg.svd(c_hat, compute_uv=False)
+    assert np.all(s[:, 1] <= 1e-12 * s[:, 0])  # the last case's C is rank deficient
+    for task, r in cases:
+        by = {rec.method: rec.metric for rec in run_baselines(task, r).records}
+        n3 = task.base.shape[2]
+        slice_floors = sum(
+            _dense_floor(replace(task, base=task.base[:, :, k:k + 1],
+                                 target=task.target[:, :, k:k + 1]), r)
+            for k in range(n3)
+        )
+        initial = loss_tensor_target(task.base, task.target)
+        for metric, floor in ((by["tcur"], _dense_floor(task, r)),
+                              (by["matrix_cur"], slice_floors)):
+            # In span, or when C and R are square and invertible, the floor is
+            # rounding (~1e-30 x initial); elsewhere the match is to ~1e-15.
+            assert abs(metric - floor) <= 1e-10 * floor + 1e-20 * initial, (task.base.shape, r)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 6])
+def test_gd_reaches_the_out_of_span_floor(n3):
+    task = make_task((20, 16, n3), 3, "out_of_span", seed=0)
+    floor = _dense_floor(task, 3)
+    assert floor > 0.1 * loss_tensor_target(task.base, task.target)  # a real floor
+    a = init_adapter(task.base, 3)
+    hist = train(a, task, steps=1000, lr=safe_step_size(a))
+    assert abs(hist.loss[-1] - floor) <= 1e-9 * floor
