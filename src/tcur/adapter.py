@@ -192,7 +192,13 @@ def effective_weights(a: Adapter) -> np.ndarray:
 
 
 def core_entries(rank: int, n_slices: int) -> int:
-    """Learnable entries of one rank x rank x n_slices core."""
+    """Learnable entries of one rank x rank x n_slices core.
+
+    Raises:
+        DimMismatch: rank < 1.
+    """
+    if rank < 1:
+        raise DimMismatch(f"rank must be positive, got {rank}")
     return rank * rank * n_slices
 
 
@@ -233,8 +239,6 @@ class MatrixBaselineCount:
 
 def count_params(cfg: StackingConfig, rank: int) -> ParamReport:
     """Learnable adapter entries for each stacked group at the given rank."""
-    if rank < 1:
-        raise DimMismatch(f"rank must be positive, got {rank}")
     slices = {g: cfg.shape(g)[2] for g in LAYOUT}
     groups = tuple(
         GroupCount(name=g, core_shape=(rank, rank, n), entries=core_entries(rank, n))
@@ -245,11 +249,6 @@ def count_params(cfg: StackingConfig, rank: int) -> ParamReport:
 
 def count_matrix_baseline(cfg: StackingConfig, rank: int) -> MatrixBaselineCount:
     """Per-matrix baseline: one rank x rank core per stacked weight matrix."""
-    if rank < 1:
-        raise DimMismatch(f"rank must be positive, got {rank}")
-    n_matrices = sum(cfg.shape(g)[2] for g in LAYOUT)
-    return MatrixBaselineCount(
-        n_matrices=n_matrices,
-        per_matrix=rank * rank,
-        total=n_matrices * rank * rank,
-    )
+    n = sum(cfg.shape(g)[2] for g in LAYOUT)
+    return MatrixBaselineCount(n_matrices=n, per_matrix=core_entries(rank, 1),
+                               total=core_entries(rank, n))

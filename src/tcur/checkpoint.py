@@ -44,13 +44,21 @@ STACK_ORDER = "layer-major;roles=" + ",".join(ROLE_ORDER)
 
 _HEADER = struct.Struct("<III")  # version, kind, meta_len
 
+
+def _index_set(v) -> np.ndarray:
+    """``v`` as intp; ValueError unless integer-typed, so no index is truncated."""
+    if np.asarray(v).dtype.kind not in "iu":
+        raise ValueError(f"index set {v!r} is not integers")
+    return np.asarray(v, dtype=np.intp)
+
+
 #: kind code -> (name, payload type, {tensor: dims} in file order,
-#: {meta field: the type it is held as}). Each dim is a symbol shared by
-#: the kind's tensors; "r" is the rank.
+#: {meta field: the type or converter it is held by}). Each dim is a
+#: symbol shared by the kind's tensors; "r" is the rank.
 _KINDS = {
     0: ("raw_tensor", np.ndarray, {"tensor": "abc"}, {}),
     1: ("tcur_factors", TcurFactors, {"C": "arc", "U_core": "rrc", "R": "rbc"},
-        {"rank": int, "rows": np.intp, "cols": np.intp, "sv_tol_factor": float}),
+        {"rank": int, "rows": _index_set, "cols": _index_set, "sv_tol_factor": float}),
     2: ("adapter", Adapter, {"base": "abc", "C": "arc", "R": "rbc", "U": "rrc"},
         {"rank": int}),
 }
@@ -63,7 +71,7 @@ def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
         TypeError: not a raw tensor, TcurFactors, or Adapter.
         ValueError: a tensor is not third-order with positive dims or has
             non-finite entries; dims disagree across tensors; an index set
-            is not ``rank`` ascending in-range indices.
+            is not ``rank`` ascending in-range integers.
     """
     kind = next((k for k, spec in _KINDS.items() if isinstance(payload, spec[1])), None)
     if kind is None:
@@ -158,13 +166,10 @@ def read_checkpoint(path):
     meta_bytes = data[meta_start:payload_start]
     try:
         meta = json.loads(meta_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CorruptCheckpoint(f"meta JSON unreadable: {e}") from e
     if not isinstance(meta, dict):
         raise CorruptCheckpoint(f"meta JSON is a {type(meta).__name__}, not an object")
-
-    if meta.get("layout") != LAYOUT:
-        raise CorruptCheckpoint(f"unknown tensor layout {meta.get('layout')!r}")
 
     manifest = meta.get("tensors")
     if not isinstance(manifest, list) or not manifest:

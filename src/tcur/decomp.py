@@ -90,6 +90,8 @@ def row_scores(w_hat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     Raises:
         ZeroTensor: the restricted sub-tensor is all zero.
         NonFiniteInput: a fiber norm is NaN or infinite.
+        RankOutOfRange: ``cols`` is empty.
+        DimMismatch: ``cols`` is not strictly increasing integers below n2.
     """
     w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
     cols = _validate_index_set(cols, w_hat.shape[1], "cols")
@@ -117,9 +119,12 @@ def select_top_r(scores: np.ndarray, r: int) -> np.ndarray:
 
 
 def _validate_index_set(idx, n: int, name: str) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.intp).ravel()
+    idx = np.asarray(idx).ravel()
     if idx.size == 0:
         raise RankOutOfRange(f"{name} must select at least one index")
+    if idx.dtype.kind not in "iu":  # a float set would be truncated, a bool one read as 0/1
+        raise DimMismatch(f"{name} must be integers, got {idx.dtype}: {idx.tolist()}")
+    idx = idx.astype(np.intp, copy=False)
     if np.any(idx < 0) or np.any(idx >= n):
         raise DimMismatch(f"{name} out of bounds for size {n}: {idx.tolist()}")
     if np.any(np.diff(idx) <= 0):
@@ -162,6 +167,9 @@ def reconstruct(f: TcurFactors) -> np.ndarray:
 
     Exact (to rounding) when the tensor had true tubal rank <= rank and
     the sampled core is full-rank, which holds generically.
+
+    Raises:
+        NonFiniteInput: U_core has a NaN or infinite entry (from ``tpinv``).
     """
     u_pinv = tpinv(f.U_core)
     return tprod(f.C, tprod(u_pinv, f.R))

@@ -180,6 +180,12 @@ class TestStacking:
         with pytest.raises(DimMismatch):
             stack_layers(layers, self.cfg)
 
+    def test_unstack_rejects_wrongly_shaped_group(self):
+        rng = np.random.default_rng(12)
+        w_sa, w_up, w_down = stack_layers(self.make_layers(rng), self.cfg)
+        with pytest.raises(DimMismatch):
+            unstack_layers(w_sa, w_up[:, :, :1], w_down, self.cfg)
+
     def test_integer_matrices_stack_as_float64(self):
         rng = np.random.default_rng(10)
         layers = [
@@ -223,6 +229,15 @@ def test_core_entries_arithmetic():
     assert core_entries(8, 48) == 3072
     assert core_entries(8, 12) == 768
     assert core_entries(1, 1) == 1
+
+
+@pytest.mark.parametrize("rank", [0, -2])
+@pytest.mark.parametrize("count", [count_params, count_matrix_baseline])
+def test_core_counts_reject_non_positive_rank(count, rank):
+    with pytest.raises(DimMismatch):
+        core_entries(rank, 4)
+    with pytest.raises(DimMismatch):
+        count(StackingConfig(d=32, n_layers=3), rank)
 
 
 def test_count_params_reference_configuration():

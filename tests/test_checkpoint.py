@@ -32,6 +32,7 @@ from tcur import (
     tcur,
     write_checkpoint,
 )
+from tcur.cli import main
 
 LAYOUT = "slice-major:frontal-slice-contiguous,row-major-within-slice,f64-le"
 KIND_NAMES = ("raw_tensor", "tcur_factors", "adapter")
@@ -79,8 +80,8 @@ def craft_kind(kind: int, tensors: dict, extras: dict) -> bytes:
 
 def factor_parts(f: TcurFactors) -> tuple[dict, dict]:
     tensors = {"C": f.C, "U_core": f.U_core, "R": f.R}
-    extras = {"rank": len(f.rows), "rows": [int(i) for i in f.rows],
-              "cols": [int(j) for j in f.cols], "sv_tol_factor": SV_TOL_FACTOR}
+    extras = {"rank": len(f.rows), "rows": np.asarray(f.rows).tolist(),
+              "cols": np.asarray(f.cols).tolist(), "sv_tol_factor": SV_TOL_FACTOR}
     return tensors, extras
 
 
@@ -312,6 +313,24 @@ def test_non_object_meta_or_manifest_entry_rejected(tmp_path, meta):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("case", ["overruns-file", "not-json", "not-utf8", "nested-too-deep"])
+def test_unreadable_meta_rejected(tmp_path, case):
+    # valid CRC, so only the meta parsing can catch these
+    meta = {"not-json": b"{tensors", "not-utf8": b'{"\xff":1}',
+            "nested-too-deep": b"[" * 100_000 + b"]" * 100_000}.get(case)
+    raw = craft(meta or raw_meta((1, 1, 1)), struct.pack("<d", 5.0))
+    if case == "overruns-file":  # meta_len reaches past the CRC
+        body = raw[4:-4]
+        body = body[:8] + struct.pack("<I", len(body)) + body[12:]
+        raw = b"TCUR" + body + struct.pack("<I", zlib.crc32(body))
+    path = tmp_path / "w.tcur"
+    path.write_bytes(raw)
+    with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+    # the CLI reports it as a checkpoint error (exit 2), not a traceback
+    assert main(["decompose", str(path), "--rank", "1", "--out", str(tmp_path / "f.tcur")]) == 2
+
+
 def test_payload_length_mismatch_rejected(tmp_path):
     path = tmp_path / "w.tcur"
     # declares 1x1x1 (8 bytes) but carries 16
@@ -390,6 +409,12 @@ def _bad_factors_rows():
     return dataclasses.replace(f, rows=np.array([0, 0, 99]))
 
 
+def _fractional_factors_rows():
+    # each row is 0.25 above a valid one, so truncation would hide it
+    f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 5)
+    return dataclasses.replace(f, rows=f.rows + 0.25)
+
+
 def _bad_adapter_core():
     # The Adapter checks U's shape on construction; training may reassign it.
     a = init_adapter(np.random.default_rng(13).standard_normal((5, 6, 2)), 2)
@@ -399,6 +424,7 @@ def _bad_adapter_core():
 
 CROSS_FIELD = {
     "rows-not-an-index-set": (1, _bad_factors_rows, factor_parts),
+    "rows-fractional": (1, _fractional_factors_rows, factor_parts),
     "core-dims-not-rank": (2, _bad_adapter_core, adapter_parts),
 }
 

@@ -83,6 +83,13 @@ def test_finetune_identical_seeds_identical_output(capsys):
     assert out1 == out2
 
 
+def test_finetune_adam_default_step_size(capsys):
+    code, out, _ = run_cli(capsys, "finetune", "--dims", "4", "4", "2", "--rank", "2",
+                           "--steps", "3", "--optimizer", "adam")
+    assert code == 0
+    assert json.loads(out)["lr"] == 0.01
+
+
 def test_finetune_csv_format(capsys):
     code, out, _ = run_cli(capsys, "finetune", "--dims", "5", "5", "2", "--rank", "2",
                            "--steps", "20", "--seed", "1", "--format", "csv")
@@ -238,6 +245,7 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
         ("verify", "--inject-fault", "not-a-fault"),
         ("verify", "--tol", "10"),                                   # no such flag
         ("report", "--steps", "5"),                  # closed-form baselines take no steps
+        ("gen", "--dims", "2", "3", "2", "--tubal-rank", "3", "--out", str(tmp_path / "x")),
     ]
     for argv in bad_calls:
         code = main(list(argv))
@@ -282,6 +290,16 @@ def test_wrong_payload_kind_exits_one(tmp_path, capsys):
                            "--out", str(tmp_path / "o.tcur"))
     assert code == 1
     assert "not a factor checkpoint" in err
+    f_path = str(tmp_path / "f.tcur")
+    run_cli(capsys, "decompose", w_path, "--rank", "2", "--out", f_path)
+    code, _, err = run_cli(capsys, "decompose", f_path, "--rank", "2",
+                           "--out", str(tmp_path / "g.tcur"))
+    assert code == 1
+    assert "not a raw tensor checkpoint" in err
+    code, _, err = run_cli(capsys, "reconstruct", f_path, "--out", str(tmp_path / "o.tcur"),
+                           "--reference", f_path)
+    assert code == 1
+    assert "not a raw tensor checkpoint" in err
 
 
 def test_missing_input_exits_two(tmp_path, capsys):

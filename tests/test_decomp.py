@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tcur import (
+    DimMismatch,
     NonFiniteInput,
     RankOutOfRange,
     ZeroTensor,
@@ -41,6 +44,24 @@ def test_row_scores_restrict_to_selected_columns():
     w[:, :, 0] = [[3.0, 0.0], [0.0, 4.0]]
     beta = row_scores(fft_mode3(w), np.array([0]))
     assert np.allclose(beta, [1.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("cols,error", [
+    ([], RankOutOfRange),
+    ([0, 3], DimMismatch),
+    ([-1, 1], DimMismatch),
+    ([2, 1], DimMismatch),
+    ([1, 1], DimMismatch),
+    ([0.7, 2.9], DimMismatch),
+    (np.array([0.0, 2.0]), DimMismatch),
+    ([False, True], DimMismatch),
+], ids=["empty", "out-of-range", "negative", "decreasing", "repeated",
+        "fractional", "float-dtype", "bool"])
+def test_row_scores_reject_bad_column_sets(cols, error):
+    # [0.7, 2.9] must not be truncated to [0, 2] and scored as if valid
+    h = fft_mode3(np.random.default_rng(2).standard_normal((4, 3, 2)))
+    with pytest.raises(error):
+        row_scores(h, cols)
 
 
 def test_scores_sum_to_one():
@@ -175,6 +196,15 @@ def test_exact_reconstruction_at_true_tubal_rank():
     rng = np.random.default_rng(31)
     w = (rng.standard_normal((8, 3)) @ rng.standard_normal((3, 9)))[:, :, None]
     assert np.abs(reconstruct(tcur(w, 3)) - w).max() / np.abs(w).max() <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_reconstruct_rejects_non_finite_core(bad):
+    f = tcur(np.random.default_rng(29).standard_normal((5, 6, 4)), 2)
+    core = f.U_core.copy()
+    core[0, 1, 2] = bad
+    with pytest.raises(NonFiniteInput):
+        reconstruct(dataclasses.replace(f, U_core=core))
 
 
 def test_full_selection_recovers_any_tensor():

@@ -5,6 +5,7 @@ import pytest
 
 from tcur import (
     DimMismatch,
+    NonFiniteInput,
     ResidualImaginary,
     ZeroReference,
     fft_mode3,
@@ -17,7 +18,7 @@ from tcur import (
     tprod_bruteforce,
     ttranspose,
 )
-from tcur.tensor_ops import _from_spec, _to_spec
+from tcur.tensor_ops import DEFAULT_IMAG_TOL, _from_spec, _to_spec
 
 
 # ------------------------------------------------------------- hand oracles
@@ -74,6 +75,12 @@ def test_tidentity_structure():
     assert e.shape == (3, 3, 4)
     assert np.array_equal(e[:, :, 0], np.eye(3))
     assert not e[:, :, 1:].any()
+
+
+@pytest.mark.parametrize("n,n3", [(0, 3), (3, 0)])
+def test_tidentity_rejects_non_positive_dims(n, n3):
+    with pytest.raises(DimMismatch):
+        tidentity(n, n3)
 
 
 def test_tpinv_scalar_tube_hand_value():
@@ -156,6 +163,25 @@ def test_half_spectrum_inverse_rejects_nonreal_dc_and_nyquist():
     _from_spec(s, 5)
 
 
+@pytest.mark.parametrize("n3", [3, 4])
+@pytest.mark.parametrize("scale", [1 - 1e-6, 1 + 1e-6], ids=["under", "over"])
+def test_both_inverses_share_one_residue_boundary(n3, scale):
+    # An imaginary x on one DC entry leaves a residue of x / n3 in both
+    # inverses; the bound is DEFAULT_IMAG_TOL * (1 + max|real|) = tol * 6 here.
+    t = np.full((2, 3, n3), 5.0)
+    x = scale * DEFAULT_IMAG_TOL * (1.0 + 5.0) * n3
+    h = fft_mode3(t)
+    h[1, 2, 0] += 1j * x
+    s = _to_spec(t)
+    s[0, 1, 2] += 1j * x
+    for inverse in (lambda: ifft_mode3(h), lambda: _from_spec(s, n3)):
+        if scale < 1:
+            assert rel_error(inverse(), t) <= 1e-15
+        else:
+            with pytest.raises(ResidualImaginary):
+                inverse()
+
+
 # -------------------------------------------------------------- ring algebra
 
 class TestRingLaws:
@@ -232,6 +258,15 @@ def test_tpinv_inverts_the_invertible():
 
 def test_tpinv_of_zero_is_zero():
     assert not tpinv(np.zeros((3, 4, 2))).any()
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, 1e308], ids=["nan", "inf", "fft-overflow"])
+def test_tpinv_rejects_non_finite_spectrum(fill):
+    # four 1e308 in one tube overflow its DC sum
+    a = np.ones((3, 3, 4))
+    a[1, 2, :] = fill
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
+        tpinv(a)
 
 
 def test_tpinv_truncates_rank_deficiency():
