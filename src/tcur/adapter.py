@@ -183,7 +183,7 @@ def init_adapter(base: np.ndarray, rank: int) -> Adapter:
 
 def delta(a: Adapter) -> np.ndarray:
     """Additive weight update ``C * U * R``; zero whenever U is zero."""
-    return tprod(a.C, tprod(a.U, a.R))
+    return tprod(a.C, a.U, a.R)
 
 
 def effective_weights(a: Adapter) -> np.ndarray:

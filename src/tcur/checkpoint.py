@@ -69,9 +69,9 @@ def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
 
     Raises:
         TypeError: not a raw tensor, TcurFactors, or Adapter.
-        ValueError: a tensor is not third-order with positive dims or has
-            non-finite entries; dims disagree across tensors; an index set
-            is not ``rank`` ascending in-range integers.
+        ValueError: a tensor is complex, is not third-order with positive
+            dims or has non-finite entries; dims disagree across tensors;
+            an index set is not ``rank`` ascending in-range integers.
     """
     kind = next((k for k, spec in _KINDS.items() if isinstance(payload, spec[1])), None)
     if kind is None:
@@ -81,6 +81,8 @@ def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
              for f in (*dims, *fields)}
     size, tensors = {}, {}
     for tname, symbols in dims.items():
+        if np.iscomplexobj(parts[tname]):  # the float64 cast would keep only the real part
+            raise ValueError(f"checkpoint tensor {tname!r} is complex, not real")
         t = tensors[tname] = np.asarray(parts[tname], dtype=np.float64)
         if (t.ndim != 3 or min(t.shape) < 1
                 or any(size.setdefault(s, n) != n for s, n in zip(symbols, t.shape))):

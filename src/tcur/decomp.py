@@ -58,7 +58,8 @@ def _fiber_scores(fibers: np.ndarray, axis: int, empty: str) -> np.ndarray:
     """Per-index sums over frontal slices of the fiber 2-norms along ``axis``,
     normalized to sum to 1; raises ZeroTensor with ``empty`` if all are zero,
     and NonFiniteInput if a norm is NaN or infinite (e.g. an overflowed FFT)."""
-    per_index = np.linalg.norm(fibers, axis=axis).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked through the total below
+        per_index = np.linalg.norm(fibers, axis=axis).sum(axis=1)
     total = float(per_index.sum())
     if not np.isfinite(total):  # norms are >= 0, so one NaN or inf reaches the total
         raise NonFiniteInput(f"fiber norms sum to {total}: spectrum is not finite")
@@ -147,6 +148,7 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
         NonFiniteInput: w has a NaN or infinite entry, or its FFT overflows.
         RankOutOfRange: rank outside [1, min(n1, n2)].
         ZeroTensor: w has zero norm.
+        DimMismatch: w is complex or not third-order.
     """
     w = _as_tensor3(w, "w")
     if not np.isfinite(w).all():
@@ -154,7 +156,8 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
     n1, n2, _ = w.shape
     if not 1 <= rank <= min(n1, n2):
         raise RankOutOfRange(f"rank {rank} outside [1, {min(n1, n2)}] for dims {w.shape}")
-    w_hat = fft_mode3(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches the scores' check
+        w_hat = fft_mode3(w)
     cols = select_top_r(column_scores(w_hat), rank)
     rows = select_top_r(row_scores(w_hat, cols), rank)
     c = ifft_mode3(w_hat[:, cols, :])
@@ -171,5 +174,4 @@ def reconstruct(f: TcurFactors) -> np.ndarray:
     Raises:
         NonFiniteInput: U_core has a NaN or infinite entry (from ``tpinv``).
     """
-    u_pinv = tpinv(f.U_core)
-    return tprod(f.C, tprod(u_pinv, f.R))
+    return tprod(f.C, tpinv(f.U_core), f.R)

@@ -9,7 +9,7 @@ acting on the vertically stacked slices of B, folded back to ``(n1, l, n3)``.
 Two routes are provided. :func:`tprod` is the fast path: the mode-3
 spectrum of a real tensor is conjugate-symmetric, so its first n3//2 + 1
 slices determine it; they are held slice-major, ``(n3//2 + 1, n1, n2)``, and
-multiplied in one batched matrix product (:func:`tpinv` is one batched SVD).
+multiplied in batched matrix products (:func:`tpinv` is one batched SVD).
 Their inverse checks that the DC slice, and at even n3 the Nyquist slice,
 is real; the full-spectrum :func:`ifft_mode3` checks every entry instead.
 :func:`tprod_bruteforce` materializes the block-circulant matrix and is kept
@@ -36,6 +36,9 @@ DEFAULT_SV_TOL_FACTOR = float(np.finfo(np.float64).eps)
 
 
 def _as_tensor3(t, name: str = "tensor", dtype=np.float64) -> np.ndarray:
+    if np.iscomplexobj(t) and not np.issubdtype(dtype, np.complexfloating):
+        # Casting would keep only the real part.
+        raise DimMismatch(f"{name} must be real, got dtype {np.asarray(t).dtype}")
     arr = np.asarray(t, dtype=dtype)
     if arr.ndim != 3 or min(arr.shape) < 1:
         raise DimMismatch(
@@ -54,6 +57,9 @@ def fft_mode3(t: np.ndarray) -> np.ndarray:
     Returns:
         Complex tensor of the same shape; entry (i, j, :) is the DFT of
         tube (i, j, :) of the input.
+
+    Raises:
+        DimMismatch: t is complex or not third-order.
     """
     return np.fft.fft(_as_tensor3(t), axis=2)
 
@@ -106,34 +112,37 @@ def _from_spec(s: np.ndarray, n3: int) -> np.ndarray:
     return _real_part(out, float(np.abs(edges.imag).sum(axis=0).max()) / n3)
 
 
-def _check_tprod_dims(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
-        raise DimMismatch(
-            f"t-product needs (n1, n2, n3) x (n2, l, n3), "
-            f"got {a.shape} x {b.shape}"
-        )
+def _tprod_operands(ts) -> list[np.ndarray]:
+    ts = [_as_tensor3(t, f"operand {i}") for i, t in enumerate(ts, 1)]
+    for i, (a, b) in enumerate(zip(ts, ts[1:]), 1):
+        if a.shape[1] != b.shape[0] or a.shape[2] != b.shape[2]:
+            raise DimMismatch(f"t-product needs (n1, n2, n3) x (n2, l, n3), got operand "
+                              f"{i} {a.shape} x operand {i + 1} {b.shape}")
+    return ts
 
 
-def tprod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """t-product via the Fourier-domain fast path.
+def tprod(a: np.ndarray, b: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """t-product ``a * b * ...`` via the Fourier-domain fast path.
 
-    Transforms both operands along mode 3 (half spectrum), multiplies
-    corresponding frontal slices in one batched product, and transforms back.
+    Transforms each operand along mode 3 (half spectrum) once, multiplies
+    frontal slices left to right in batched products, and transforms back once.
 
     Args:
         a: tensor, shape (n1, n2, n3).
-        b: tensor, shape (n2, l, n3).
+        b, *more: tensors, shapes (n2, l, n3), (l, m, n3), ...
 
     Returns:
-        Tensor of shape (n1, l, n3).
+        Tensor of shape (n1, last operand's second dim, n3).
 
     Raises:
-        DimMismatch: if the inner dimension or n3 differ.
+        DimMismatch: an operand is complex or not third-order, or neighbours
+            differ in inner dimension or n3.
     """
-    a = _as_tensor3(a, "a")
-    b = _as_tensor3(b, "b")
-    _check_tprod_dims(a, b)
-    return _from_spec(_to_spec(a) @ _to_spec(b), a.shape[2])
+    first, *rest = _tprod_operands((a, b, *more))
+    spec = _to_spec(first)
+    for t in rest:
+        spec = spec @ _to_spec(t)
+    return _from_spec(spec, first.shape[2])
 
 
 def tprod_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,9 +154,7 @@ def tprod_bruteforce(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Quadratic in n3; kept purely as the reference the fast path is
     checked against.
     """
-    a = _as_tensor3(a, "a")
-    b = _as_tensor3(b, "b")
-    _check_tprod_dims(a, b)
+    a, b = _tprod_operands((a, b))
     n1, n2, n3 = a.shape
     l = b.shape[1]
 
@@ -204,7 +211,8 @@ def tpinv(a: np.ndarray) -> np.ndarray:
             entry, or an FFT that overflows).
     """
     a = _as_tensor3(a)
-    spec = _to_spec(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+        spec = _to_spec(a)
     if not np.isfinite(spec).all():
         raise NonFiniteInput("cannot pseudoinvert a tensor whose spectrum is not finite")
     u, s, vh = np.linalg.svd(spec, full_matrices=False)

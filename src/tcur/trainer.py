@@ -74,7 +74,7 @@ def make_task(
     if plant_mode == "in_span":
         f = tcur(base, rank)
         g = rng.standard_normal((rank, rank, dims[2]))
-        target = base + tprod(f.C, tprod(g, f.R))
+        target = base + tprod(f.C, g, f.R)
     else:
         target = base + rng.standard_normal(dims)
     return SyntheticTask(
@@ -138,7 +138,7 @@ def grad_core(a: Adapter, g: np.ndarray) -> np.ndarray:
     g = _as_tensor3(g, "g")
     if g.shape != a.base.shape:
         raise DimMismatch(f"upstream gradient dims {g.shape} != base dims {a.base.shape}")
-    return tprod(ttranspose(a.C), tprod(g, ttranspose(a.R)))
+    return tprod(ttranspose(a.C), g, ttranspose(a.R))
 
 
 def finite_diff_grad(a: Adapter, task: SyntheticTask) -> np.ndarray:
@@ -163,7 +163,7 @@ def finite_diff_grad(a: Adapter, task: SyntheticTask) -> np.ndarray:
 
 def hessian_apply(a: Adapter, v: np.ndarray) -> np.ndarray:
     """Quadratic-form operator ``V -> C^T * (C * V * R) * R^T``."""
-    return grad_core(a, tprod(a.C, tprod(v, a.R)))
+    return grad_core(a, tprod(a.C, v, a.R))
 
 
 def hessian_max_eig(a: Adapter) -> float:
@@ -299,7 +299,7 @@ def train(
 def _fit_tcur(task: SyntheticTask, rank: int) -> tuple[float, int]:
     # Block diagonal per Fourier slice: the minimum-norm optimum is C+ * D * R+.
     a = init_adapter(task.base, rank)
-    a.U = tprod(tpinv(a.C), tprod(task.target - task.base, tpinv(a.R)))
+    a.U = tprod(tpinv(a.C), task.target - task.base, tpinv(a.R))
     return task_loss(a, task), core_entries(rank, task.base.shape[2])
 
 

@@ -13,6 +13,7 @@ from tcur import (
     delta,
     effective_weights,
     init_adapter,
+    rel_error,
     stack_layers,
     tprod,
     unstack_layers,
@@ -113,8 +114,9 @@ def test_delta_matches_direct_product():
     rng = np.random.default_rng(5)
     a = init_adapter(rng.standard_normal((5, 6, 3)), 2)
     a.U = rng.standard_normal(a.U.shape)
-    want = tprod(a.C, tprod(a.U, a.R))
+    want = tprod(a.C, a.U, a.R)
     assert np.array_equal(delta(a), want)
+    assert rel_error(want, tprod(a.C, tprod(a.U, a.R))) <= 1e-12  # the nested product
     assert np.allclose(effective_weights(a), a.base + want, atol=1e-14)
 
 

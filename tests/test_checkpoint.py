@@ -373,6 +373,11 @@ def test_writer_rejects_bad_payloads(tmp_path):
         write_checkpoint(path, bad)
     with pytest.raises(TypeError):
         write_checkpoint(path, {"not": "a payload"})
+    write_checkpoint(path, np.ones((2, 2, 2)))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="complex"):  # not cut to its real part
+        write_checkpoint(path, np.ones((2, 2, 2)) + 1j)
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("case", ["repeated-name", "junk-then-tensor", "kind-disagrees"])

@@ -113,22 +113,28 @@ def test_tcur_rejects_non_finite_input(bad):
 
 
 def test_tcur_rejects_finite_input_whose_spectrum_overflows():
-    # Every entry is finite, but summing the tubes in the FFT overflows.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
-        tcur(np.full((3, 3, 4), 1e308), 1)
+    # Every entry is finite, but summing the tubes in the FFT overflows
+    # (1e308), or the FFT is finite and the fiber norms overflow (1e160).
+    for fill in (1e308, 1e160):
+        with pytest.raises(NonFiniteInput):
+            tcur(np.full((3, 3, 4), fill), 1)
+
+
+def test_tcur_rejects_complex_input():
+    with pytest.raises(DimMismatch, match="real"):
+        tcur(1j * np.ones((3, 3, 4)), 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_scores_reject_non_finite_spectrum(bad):
     w_hat = np.ones((2, 3, 2), dtype=complex)
     w_hat[1, 2, 0] = bad
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NonFiniteInput):
-            column_scores(w_hat)
-        with pytest.raises(NonFiniteInput):
-            row_scores(w_hat, np.array([0, 2]))
+    with pytest.raises(NonFiniteInput):
+        column_scores(w_hat)
+    with pytest.raises(NonFiniteInput):
+        row_scores(w_hat, np.array([0, 2]))
     assert row_scores(w_hat, np.array([0, 1])).tolist() == [0.5, 0.5]  # bad entry not selected
-    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
+    with pytest.raises(NonFiniteInput):
         column_scores(np.full((2, 2, 2), np.nan))
 
 

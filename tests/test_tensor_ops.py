@@ -108,6 +108,25 @@ def test_tprod_matches_bruteforce_on_random_pairs():
         a = rng.standard_normal((5, 4, n3))
         b = rng.standard_normal((4, 3, n3))
         assert rel_error(tprod(a, b), tprod_bruteforce(a, b)) <= 1e-10
+    # chains of 3 and 4 operands against the nested oracle
+    for n_ops in (3, 4):
+        for _ in range(20):
+            dims = [int(v) for v in rng.integers(1, 7, size=n_ops + 1)]
+            n3 = int(rng.integers(1, 7))
+            ts = [rng.standard_normal((p, q, n3)) for p, q in zip(dims, dims[1:])]
+            want = ts[-1]
+            for t in reversed(ts[:-1]):
+                want = tprod_bruteforce(t, want)
+            assert rel_error(tprod(*ts), want) <= 1e-10
+
+
+def test_tprod_chain_keeps_every_operand():
+    # 11 doubled identities then a: dropping any operand changes the result
+    a = np.random.default_rng(3).standard_normal((3, 2, 4))
+    chain = [2.0 * tidentity(3, 4)] * 11 + [a]
+    assert rel_error(tprod(*chain), 2.0**11 * a) <= 1e-12
+    with pytest.raises(DimMismatch, match="operand 11 .* x operand 12"):
+        tprod(*chain[:-1], np.ones((2, 2, 4)))
 
 
 def test_tprod_single_slice_is_matmul():
@@ -260,12 +279,13 @@ def test_tpinv_of_zero_is_zero():
     assert not tpinv(np.zeros((3, 4, 2))).any()
 
 
-@pytest.mark.parametrize("fill", [np.nan, np.inf, 1e308], ids=["nan", "inf", "fft-overflow"])
-def test_tpinv_rejects_non_finite_spectrum(fill):
-    # four 1e308 in one tube overflow its DC sum
-    a = np.ones((3, 3, 4))
+@pytest.mark.parametrize("fill,n3", [(np.nan, 4), (np.inf, 4), (1e308, 4), (np.inf, 5)],
+                         ids=["nan", "inf", "fft-overflow", "inf-odd-n3"])
+def test_tpinv_rejects_non_finite_spectrum(fill, n3):
+    # four 1e308 in one tube overflow its DC sum; an odd n3 takes the other rfft kernel
+    a = np.ones((3, 3, n3))
     a[1, 2, :] = fill
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteInput):
+    with pytest.raises(NonFiniteInput):
         tpinv(a)
 
 
@@ -280,10 +300,15 @@ def test_tpinv_truncates_rank_deficiency():
 
 # ------------------------------------------------------------------ plumbing
 
-@pytest.mark.parametrize("bad", [np.ones((3, 3)), np.ones((2, 2, 2, 2)), np.ones(4)])
+@pytest.mark.parametrize("bad", [np.ones((3, 3)), np.ones((2, 2, 2, 2)), np.ones(4),
+                                 1j * np.ones((3, 3, 1))])  # complex: not cut to its real part
 def test_nontensor_inputs_rejected(bad):
     with pytest.raises(DimMismatch):
         tprod(bad, np.ones((3, 3, 1)))
+    with pytest.raises(DimMismatch):
+        tprod(np.ones((3, 3, 1)), np.ones((3, 3, 1)), bad)
+    with pytest.raises(DimMismatch):
+        fft_mode3(bad)
 
 
 def test_tprod_shape_mismatches_rejected():
@@ -291,6 +316,10 @@ def test_tprod_shape_mismatches_rejected():
         tprod(np.ones((2, 3, 4)), np.ones((2, 3, 4)))  # inner dims differ
     with pytest.raises(DimMismatch):
         tprod(np.ones((2, 3, 4)), np.ones((3, 2, 5)))  # slice counts differ
+    with pytest.raises(DimMismatch, match="operand 2"):
+        tprod(np.ones((2, 3, 4)), np.ones((3, 2, 4)), np.ones((3, 2, 4)))  # third's inner dim
+    with pytest.raises(DimMismatch, match="operand 3"):
+        tprod(np.ones((2, 3, 4)), np.ones((3, 2, 4)), np.ones((2, 2, 5)))  # third's n3
 
 
 def test_rel_error_contract():
