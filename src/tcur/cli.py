@@ -8,6 +8,7 @@ failure. Every randomized path takes --seed and echoes it in the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -55,7 +56,10 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: each ``add_argument`` queries
+    the terminal size, so a build costs more than a parse."""
     p = _Parser(prog="tcur", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -58,8 +58,12 @@ def _fiber_scores(fibers: np.ndarray, axis: int, empty: str) -> np.ndarray:
     """Per-index sums over frontal slices of the fiber 2-norms along ``axis``,
     normalized to sum to 1; raises ZeroTensor with ``empty`` if all are zero,
     and NonFiniteInput if a norm is NaN or infinite (e.g. an overflowed FFT)."""
+    # One einsum over a float64 view (real, imag as a last axis of 2) sums
+    # the squares with no full-size temporary; np.linalg.norm made two.
+    parts = fibers[..., None].view(np.float64)
+    kept = "ijk".replace("ijk"[axis], "")
     with np.errstate(over="ignore", invalid="ignore"):  # checked through the total below
-        per_index = np.linalg.norm(fibers, axis=axis).sum(axis=1)
+        per_index = np.sqrt(np.einsum(f"ijkc,ijkc->{kept}", parts, parts)).sum(axis=1)
     total = float(per_index.sum())
     if not np.isfinite(total):  # norms are >= 0, so one NaN or inf reaches the total
         raise NonFiniteInput(f"fiber norms sum to {total}: spectrum is not finite")

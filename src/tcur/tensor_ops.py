@@ -51,6 +51,11 @@ def _as_tensor3(t, name: str = "tensor", dtype=np.float64) -> np.ndarray:
 def fft_mode3(t: np.ndarray) -> np.ndarray:
     """Forward DFT along every mode-3 tube (unnormalized).
 
+    Allocates only its result: the real-input ``rfft`` writes the first
+    n3//2 + 1 slices into it, with no complex copy of ``t``, and the rest
+    are filled in place as their conjugates, so the output is exactly
+    conjugate-symmetric: ``out[:, :, k] == conj(out[:, :, -k % n3])``.
+
     Args:
         t: real tensor, shape (n1, n2, n3).
 
@@ -61,7 +66,13 @@ def fft_mode3(t: np.ndarray) -> np.ndarray:
     Raises:
         DimMismatch: t is complex or not third-order.
     """
-    return np.fft.fft(_as_tensor3(t), axis=2)
+    t = _as_tensor3(t)
+    n3 = t.shape[2]
+    half = n3 // 2 + 1
+    out = np.empty(t.shape, dtype=np.complex128)
+    np.fft.rfft(t, axis=2, out=out[:, :, :half])
+    np.conjugate(out[:, :, n3 - half:0:-1], out=out[:, :, half:])
+    return out
 
 
 def _real_part(out: np.ndarray, imag_max: float) -> np.ndarray:
@@ -94,7 +105,11 @@ def ifft_mode3(t_hat: np.ndarray) -> np.ndarray:
 
 
 def _to_spec(t: np.ndarray) -> np.ndarray:
-    """Half spectrum along mode 3, slice-major: (n3//2 + 1, n1, n2)."""
+    """Half spectrum along mode 3, slice-major: (n3//2 + 1, n1, n2).
+
+    These are the first n3//2 + 1 slices of :func:`fft_mode3`, which
+    determine the rest; the real-input ``rfft`` allocates only them.
+    """
     # Not C-contiguous, yet batched matmul on it is fast; copying the view
     # before the rfft made the rfft about 3x slower.
     return np.fft.rfft(t.transpose(2, 0, 1), axis=0)
@@ -103,13 +118,17 @@ def _to_spec(t: np.ndarray) -> np.ndarray:
 def _from_spec(s: np.ndarray, n3: int) -> np.ndarray:
     """Contiguous real (n1, l, n3) tensor from a slice-major half spectrum.
 
-    The residue :func:`_real_part` checks is the most that the imaginary
-    parts ``irfft`` drops, of the DC slice and at even n3 the Nyquist slice,
-    add to an entry of the inverse.
+    ``irfft`` writes straight into the C-contiguous result, so no
+    full-size temporary is made. The residue :func:`_real_part` checks is
+    the most that the imaginary parts ``irfft`` drops, of the DC slice and
+    at even n3 the Nyquist slice, add to an entry of the inverse.
     """
-    edges = s[[0, -1]] if n3 % 2 == 0 else s[:1]
-    out = np.ascontiguousarray(np.fft.irfft(s, n=n3, axis=0).transpose(1, 2, 0))
-    return _real_part(out, float(np.abs(edges.imag).sum(axis=0).max()) / n3)
+    edges = s[::n3 // 2] if n3 % 2 == 0 else s[:1]  # views: DC (and Nyquist) slice
+    # Taken before ``out`` is allocated, so its temporaries are freed by then.
+    imag_max = float(np.abs(edges.imag).sum(axis=0).max()) / n3
+    out = np.empty((s.shape[1], s.shape[2], n3))
+    np.fft.irfft(s.transpose(1, 2, 0), n=n3, axis=2, out=out)
+    return _real_part(out, imag_max)
 
 
 def _tprod_operands(ts) -> list[np.ndarray]:

@@ -10,7 +10,6 @@ import hashlib
 import json
 import struct
 import tempfile
-import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -219,25 +218,16 @@ def test_writer_matches_independently_crafted_factors_and_adapter(tmp_path):
 
 # ------------------------------------------------------ memory high-water
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("kind", [0, 2])
-def test_write_and_read_peak_memory(tmp_path, kind):
+def test_write_and_read_peak_memory(tmp_path, kind, traced_peak):
     # The writer holds one slice-major tensor at a time; the reader holds
     # the file bytes plus the arrays it returns.
     a = init_adapter(np.random.default_rng(10).standard_normal((96, 96, 16)), 8)
     payload = a.base if kind == 0 else a
     path = tmp_path / "big.tcur"
-    write_peak = _traced_peak(lambda: write_checkpoint(path, payload))
+    write_peak = traced_peak(lambda: write_checkpoint(path, payload))
     size = path.stat().st_size
-    read_peak = _traced_peak(lambda: read_checkpoint(path))
+    read_peak = traced_peak(lambda: read_checkpoint(path))
     assert write_peak <= 1.1 * size, f"write peak {write_peak / size:.2f}x file size"
     assert read_peak <= 2.2 * size, f"read peak {read_peak / size:.2f}x file size"
 

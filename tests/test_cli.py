@@ -17,7 +17,7 @@ from tcur import (
     write_checkpoint,
 )
 from tcur.adapter import PARAM_COUNT_CAVEAT
-from tcur.cli import main
+from tcur.cli import build_parser, main
 from tcur.verify import FAULTS, inject_fault
 
 
@@ -251,6 +251,16 @@ def test_invalid_arguments_exit_one(tmp_path, capsys):
         code = main(list(argv))
         capsys.readouterr()
         assert code == 1, argv
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(capsys):
+    assert build_parser() is build_parser()
+    params = ("report", "--kind", "params", "--format", "csv")
+    _, rank8, _ = run_cli(capsys, *params, "--rank", "8")
+    assert run_cli(capsys, "report", "--kind", "nope")[0] == 1
+    _, default, _ = run_cli(capsys, *params)
+    assert default != rank8
+    assert default == run_cli(capsys, *params, "--rank", "3")[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,48 @@ def test_tcur_rejects_finite_input_whose_spectrum_overflows():
 def test_tcur_rejects_complex_input():
     with pytest.raises(DimMismatch, match="real"):
         tcur(1j * np.ones((3, 3, 4)), 1)
+
+
+def _norm_scores(w_hat, axis):
+    per_index = np.linalg.norm(w_hat, axis=axis).sum(axis=1)
+    return per_index / per_index.sum()
+
+
+def test_scores_match_a_norm_reference_on_any_layout():
+    h = fft_mode3(np.random.default_rng(4).standard_normal((9, 12, 6)))
+    cols = np.array([1, 4, 5])
+    for view in (h, h[:, ::2, :], h.transpose(1, 0, 2), h[:, :, ::-1], np.asfortranarray(h)):
+        np.testing.assert_allclose(column_scores(view), _norm_scores(view, 0),
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(row_scores(view, cols), _norm_scores(view[:, cols], 1),
+                                   rtol=1e-14, atol=0)
+
+
+def test_scores_keep_exact_ties():
+    w = np.random.default_rng(6).standard_normal((11, 13, 5))
+    w[:, [4, 9, 12]] = w[:, [1]]
+    w[[3, 10]] = w[[7]]
+    h = fft_mode3(w)
+    alpha = column_scores(h)
+    assert alpha[1] == alpha[4] == alpha[9] == alpha[12]
+    beta = row_scores(h, np.arange(13))
+    assert beta[3] == beta[7] == beta[10]
+
+
+def test_scores_overflow_is_named_with_warnings_as_errors():
+    # finite entries whose squares overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput):
+            column_scores(np.full((3, 4, 2), 1e200 + 1e200j))
+        with pytest.raises(NonFiniteInput):
+            row_scores(np.full((3, 4, 2), 1e200 + 0j), np.array([0, 2]))
+
+
+def test_column_scores_allocate_no_full_size_temporary(traced_peak):
+    h = fft_mode3(np.random.default_rng(8).standard_normal((64, 64, 16)))
+    peak = traced_peak(lambda: column_scores(h))
+    assert peak <= 0.05 * h.nbytes, f"peak {peak / h.nbytes:.3f}x the input"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

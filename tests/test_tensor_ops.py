@@ -149,6 +149,31 @@ def test_fft_roundtrip_and_conjugate_symmetry():
             assert np.abs(h[:, :, k] - h[:, :, (n3 - k) % n3].conj()).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 7, 8])
+def test_fft_matches_numpy_and_is_exactly_conjugate_symmetric(n3):
+    # the upper slices are written as conjugates of the lower ones, so the
+    # symmetry holds bit for bit, DC and Nyquist included
+    t = np.random.default_rng(n3).standard_normal((5, 6, n3))
+    h = fft_mode3(t)
+    want = np.fft.fft(t, axis=2)
+    assert np.abs(h - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(h, h[:, :, -np.arange(n3) % n3].conj())
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 7, 8])
+def test_tprod_is_bitwise_the_transposed_copy_of_irfft(n3):
+    # irfft straight into the (n1, l, n3) result, not along axis 0 and then
+    # a transposed copy: same numbers, same C-contiguous layout
+    rng = np.random.default_rng(10 + n3)
+    a = rng.standard_normal((6, 3, n3))
+    b = rng.standard_normal((3, 5, n3))
+    c = tprod(a, b)
+    s = _to_spec(a) @ _to_spec(b)
+    want = np.ascontiguousarray(np.fft.irfft(s, n=n3, axis=0).transpose(1, 2, 0))
+    assert c.flags.c_contiguous
+    assert np.array_equal(c, want)
+
+
 def test_ifft_rejects_asymmetric_spectrum():
     bad = np.zeros((2, 2, 3), dtype=np.complex128)
     bad[:, :, 1] = 1j  # no conjugate partner in slice 2
@@ -329,3 +354,26 @@ def test_rel_error_contract():
         rel_error(a, np.zeros_like(a))
     with pytest.raises(DimMismatch):
         rel_error(a, np.ones((2, 2, 3)))
+
+
+# ------------------------------------------------------ memory high-water
+
+def test_fft_allocates_only_its_result(traced_peak):
+    # No complex copy of the input. The shape keeps the fixed ufunc buffer
+    # (~256 KiB) of the in-place conjugate fill under the 5% margin.
+    t = np.random.default_rng(0).standard_normal((160, 128, 32))
+    out_bytes = 16 * t.size
+    peak = traced_peak(lambda: fft_mode3(t))
+    assert peak <= 1.05 * out_bytes, f"peak {peak / out_bytes:.2f}x the output"
+
+
+def test_tprod_allocates_only_the_half_spectrum_and_result(traced_peak):
+    # The operands' half spectra are rank-sized; the product's half spectrum
+    # and the result are the only full-size arrays.
+    rng = np.random.default_rng(1)
+    n1, r, l, n3 = 96, 4, 80, 16
+    a = rng.standard_normal((n1, r, n3))
+    b = rng.standard_normal((r, l, n3))
+    floor = 16 * (n3 // 2 + 1) * n1 * l + 8 * n1 * l * n3
+    peak = traced_peak(lambda: tprod(a, b))
+    assert peak <= 1.05 * floor, f"peak {peak / floor:.2f}x half spectrum + result"
