@@ -139,8 +139,8 @@ class Adapter:
     ever reassigns U. A zero U makes the adapter a no-op.
 
     Raises:
-        DimMismatch: base is not (n1, n2, n3), or C, R and U are not
-            (n1, r, n3), (r, n2, n3) and (r, r, n3) for it.
+        DimMismatch: a tensor is not real and third-order, or C, R and U
+            are not (n1, r, n3), (r, n2, n3) and (r, r, n3) for base's dims.
         NonFiniteInput: C, R or U has a NaN or infinite entry (the
             r-sized factors; ``tcur`` and the checkpoint reader check base).
     """
@@ -156,9 +156,9 @@ class Adapter:
         n1, n2, n3 = _as_tensor3(self.base, "adapter base").shape
         r = _as_tensor3(self.U, "adapter factor U").shape[0]
         for name, want in (("C", (n1, r, n3)), ("R", (r, n2, n3)), ("U", (r, r, n3))):
-            t = getattr(self, name)
-            if np.shape(t) != want:
-                raise DimMismatch(f"adapter factor {name} has shape {np.shape(t)}, not {want}")
+            t = _as_tensor3(getattr(self, name), f"adapter factor {name}")
+            if t.shape != want:
+                raise DimMismatch(f"adapter factor {name} has shape {t.shape}, not {want}")
             if not np.isfinite(t).all():
                 raise NonFiniteInput(f"adapter factor {name} has NaN or infinite entries")
         for frozen in (self.base, self.C, self.R):

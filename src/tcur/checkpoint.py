@@ -30,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .adapter import ROLE_ORDER, Adapter
-from .decomp import TcurFactors
+from .decomp import TcurFactors, _validate_index_set
 from .errors import CorruptCheckpoint, TcurError, UnsupportedVersion
+from .tensor_ops import _as_tensor3
 
 MAGIC = b"TCUR"
 VERSION = 1
@@ -45,20 +46,13 @@ STACK_ORDER = "layer-major;roles=" + ",".join(ROLE_ORDER)
 _HEADER = struct.Struct("<III")  # version, kind, meta_len
 
 
-def _index_set(v) -> np.ndarray:
-    """``v`` as intp; ValueError unless integer-typed, so no index is truncated."""
-    if np.asarray(v).dtype.kind not in "iu":
-        raise ValueError(f"index set {v!r} is not integers")
-    return np.asarray(v, dtype=np.intp)
-
-
 #: kind code -> (name, payload type, {tensor: dims} in file order,
 #: {meta field: the type or converter it is held by}). Each dim is a
 #: symbol shared by the kind's tensors; "r" is the rank.
 _KINDS = {
     0: ("raw_tensor", np.ndarray, {"tensor": "abc"}, {}),
     1: ("tcur_factors", TcurFactors, {"C": "arc", "U_core": "rrc", "R": "rbc"},
-        {"rank": int, "rows": _index_set, "cols": _index_set, "sv_tol_factor": float}),
+        {"rank": int, "rows": np.asarray, "cols": np.asarray, "sv_tol_factor": float}),
     2: ("adapter", Adapter, {"base": "abc", "C": "arc", "R": "rbc", "U": "rrc"},
         {"rank": int}),
 }
@@ -69,9 +63,10 @@ def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
 
     Raises:
         TypeError: not a raw tensor, TcurFactors, or Adapter.
-        ValueError: a tensor is complex, is not third-order with positive
-            dims or has non-finite entries; dims disagree across tensors;
-            an index set is not ``rank`` ascending in-range integers.
+        ValueError: a tensor is not a real third-order tensor
+            (``_as_tensor3``) or has non-finite entries; dims disagree
+            across tensors; an index set is not ``rank`` indices that
+            ``_validate_index_set`` accepts; a factor core is not C[rows].
     """
     kind = next((k for k, spec in _KINDS.items() if isinstance(payload, spec[1])), None)
     if kind is None:
@@ -81,21 +76,21 @@ def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
              for f in (*dims, *fields)}
     size, tensors = {}, {}
     for tname, symbols in dims.items():
-        if np.iscomplexobj(parts[tname]):  # the float64 cast would keep only the real part
-            raise ValueError(f"checkpoint tensor {tname!r} is complex, not real")
-        t = tensors[tname] = np.asarray(parts[tname], dtype=np.float64)
-        if (t.ndim != 3 or min(t.shape) < 1
-                or any(size.setdefault(s, n) != n for s, n in zip(symbols, t.shape))):
+        t = tensors[tname] = _as_tensor3(parts[tname], f"checkpoint tensor {tname!r}")
+        if any(size.setdefault(s, n) != n for s, n in zip(symbols, t.shape)):
             raise ValueError(f"checkpoint tensor {tname!r} has shape {t.shape}, "
                              f"not ({', '.join(symbols)}) with {size}")
         if not np.isfinite(t).all():
             raise ValueError(f"checkpoint tensor {tname!r} contains non-finite entries")
     extras = {f: held(parts[f]) for f, held in fields.items()}
-    for f, s in (("rows", "a"), ("cols", "b")):
-        idx = extras.get(f)
-        if idx is not None and (idx.shape != (size["r"],) or idx[0] < 0
-                                or idx[-1] >= size[s] or (np.diff(idx) <= 0).any()):
-            raise ValueError(f"{f} must be {size['r']} ascending indices below {size[s]}")
+    if ptype is TcurFactors:
+        for f, s in (("rows", "a"), ("cols", "b")):
+            if extras[f].shape != (size["r"],):  # _validate_index_set would flatten it
+                raise ValueError(f"{f} must be {size['r']} indices, got shape {extras[f].shape}")
+            extras[f] = _validate_index_set(extras[f], size[s], f)
+        # The core is C's row sample W(I, J, :), not a third factor.
+        if not np.array_equal(tensors["U_core"], tensors["C"][extras["rows"]]):
+            raise ValueError("U_core is not C[rows], the row sample of C")
     meta = {
         "kind": name,
         "layout": LAYOUT,

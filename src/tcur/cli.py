@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--steps", type=_positive_int, default=2000)
     f.add_argument("--lr", type=float, default=None,
                    help="step size (default: 1/lambda_max, closed form)")
-    f.add_argument("--optimizer", choices=("gd", "adam"), default="gd")
+    f.add_argument("--optimizer", choices=trainer.OPTIMIZERS, default="gd")
     f.add_argument("--plant-mode", choices=trainer.PLANT_MODES, default="in_span")
     f.add_argument("--seed", type=_nonnegative_int, default=0)
     f.add_argument("--rel-stop", type=float, default=1e-10,

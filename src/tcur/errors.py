@@ -1,11 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library; bad argument values are also ValueErrors."""
 
 
 class TcurError(Exception):
     """Base class for all library errors."""
 
 
-class DimMismatch(TcurError):
+class DimMismatch(TcurError, ValueError):
     """Operand dimensions are not conformable."""
 
 
@@ -17,7 +17,7 @@ class ResidualImaginary(TcurError):
     """
 
 
-class NonFiniteInput(TcurError):
+class NonFiniteInput(TcurError, ValueError):
     """A NaN or infinite entry where finite values are required."""
 
 
@@ -29,7 +29,7 @@ class ZeroReference(TcurError):
     """Relative error requested against a zero-norm reference."""
 
 
-class RankOutOfRange(TcurError):
+class RankOutOfRange(TcurError, ValueError):
     """Requested rank outside the valid range for the given dims."""
 
 

@@ -35,6 +35,7 @@ from .report import ComparisonReport, ReportRecord
 from .tensor_ops import _as_tensor3, _from_spec, _to_spec, fro_norm, tpinv, tprod, ttranspose
 
 PLANT_MODES = ("in_span", "out_of_span")
+OPTIMIZERS = ("gd", "adam")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -257,8 +258,9 @@ def train(
         raise ValueError(f"lr must be >= 0, got {lr}")
     if rel_stop is not None and not rel_stop >= 0:
         raise ValueError(f"rel_stop must be >= 0, got {rel_stop}")
-    if optimizer not in ("gd", "adam"):
-        raise ValueError(f"optimizer must be 'gd' or 'adam', got {optimizer!r}")
+    if optimizer not in OPTIMIZERS:
+        names = " or ".join(map(repr, OPTIMIZERS))
+        raise ValueError(f"optimizer must be {names}, got {optimizer!r}")
 
     initial = task_loss(a, task)
     if not math.isfinite(initial):

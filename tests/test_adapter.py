@@ -52,21 +52,23 @@ def _adapter_parts(seed=5):
     return {"base": a.base, "C": a.C, "R": a.R, "U": a.U}
 
 
-@pytest.mark.parametrize("field,bad_shape", [
-    ("C", (5, 2, 2)),  # n3 cut short
-    ("C", (4, 2, 3)),  # n1 not the base's
-    ("R", (2, 3, 3)),  # n2 not the base's
-    ("R", (3, 4, 3)),  # rank not U's
-    ("U", (2, 3, 3)),  # not square
-    ("U", (3, 3, 3)),  # rank not C's or R's
-    ("U", (2, 2)),     # not third-order
-    ("base", (5, 4, 2)),  # a base of another shape
-    ("base", (5, 4)),
+@pytest.mark.parametrize("field,bad", [
+    ("C", np.zeros((5, 2, 2))),  # n3 cut short
+    ("C", np.zeros((4, 2, 3))),  # n1 not the base's
+    ("R", np.zeros((2, 3, 3))),  # n2 not the base's
+    ("R", np.zeros((3, 4, 3))),  # rank not U's
+    ("U", np.zeros((2, 3, 3))),  # not square
+    ("U", np.zeros((3, 3, 3))),  # rank not C's or R's
+    ("U", np.zeros((2, 2))),     # not third-order
+    ("base", np.zeros((5, 4, 2))),  # a base of another shape
+    ("base", np.zeros((5, 4))),
+    ("C", np.zeros((5, 2, 3)) + 1j),  # the right shape, but complex
+    ("R", np.zeros((2, 4, 3)) + 1j),
 ], ids=["C-n3", "C-n1", "R-n2", "R-rank", "U-not-square", "U-rank", "U-2d",
-        "base-n3", "base-2d"])
-def test_hand_built_adapter_rejects_factors_that_do_not_fit(field, bad_shape):
+        "base-n3", "base-2d", "C-complex", "R-complex"])
+def test_hand_built_adapter_rejects_factors_that_do_not_fit(field, bad):
     parts = _adapter_parts()
-    parts[field] = np.zeros(bad_shape)
+    parts[field] = bad
     with pytest.raises(DimMismatch):
         Adapter(**parts)
 

@@ -23,6 +23,9 @@ from tcur import (
     CheckpointError,
     CorruptCheckpoint,
     DimMismatch,
+    NonFiniteInput,
+    RankOutOfRange,
+    TcurError,
     TcurFactors,
     UnsupportedVersion,
     init_adapter,
@@ -370,6 +373,12 @@ def test_writer_rejects_bad_payloads(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_bad_argument_value_errors_are_value_errors():
+    # so the writer's documented ValueError covers them, and `except TcurError` still does
+    for err in (DimMismatch, NonFiniteInput, RankOutOfRange):
+        assert issubclass(err, ValueError) and issubclass(err, TcurError), err
+
+
 @pytest.mark.parametrize("case", ["repeated-name", "junk-then-tensor", "kind-disagrees"])
 def test_manifest_the_writer_would_not_write_rejected(tmp_path, case):
     one, two = np.full((1, 1, 1), 1.0), np.full((1, 1, 1), 2.0)
@@ -410,6 +419,18 @@ def _fractional_factors_rows():
     return dataclasses.replace(f, rows=f.rows + 0.25)
 
 
+def _core_not_row_sample():
+    # every shape agrees, but the core is not W(I, J, :) = C[rows]
+    f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 3)
+    return dataclasses.replace(f, U_core=f.U_core + 1)
+
+
+def _rows_2d():
+    # _validate_index_set flattens its input, so only the shape check sees this
+    f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 3)
+    return dataclasses.replace(f, rows=f.rows[None, :])
+
+
 def _bad_adapter_core():
     # The Adapter checks U's shape on construction; training may reassign it.
     a = init_adapter(np.random.default_rng(13).standard_normal((5, 6, 2)), 2)
@@ -421,6 +442,8 @@ CROSS_FIELD = {
     "rows-not-an-index-set": (1, _bad_factors_rows, factor_parts),
     "rows-fractional": (1, _fractional_factors_rows, factor_parts),
     "core-dims-not-rank": (2, _bad_adapter_core, adapter_parts),
+    "core-not-row-sample": (1, _core_not_row_sample, factor_parts),
+    "rows-2d": (1, _rows_2d, factor_parts),
 }
 
 
