@@ -5,7 +5,10 @@ rows are then scored on the restriction to the selected columns. The
 sampled sub-tensors C = W(:, J, :) and R = W(I, :, :) are extracted in the
 Fourier domain and transformed back, which coincides with spatial-domain
 index selection because the mode-3 FFT acts tube-wise; U = W(I, J, :) is
-then the row sample C(I, :, :).
+then the row sample C(I, :, :). For the same reason :func:`tcur` never
+holds the whole spectrum: it scores columns from the FFT of one column
+block at a time, then transforms only the selected columns and rows again,
+with every score and factor bit for bit what the whole spectrum gives.
 
 Reconstruction is ``C * pinv(U) * R`` under the t-product. At n3 = 1 the
 t-product is the matrix product, so the same functions give per-matrix CUR.
@@ -54,22 +57,31 @@ class TcurFactors:
     rank = property(lambda self: len(self.rows))
 
 
-def _fiber_scores(fibers: np.ndarray, axis: int, empty: str) -> np.ndarray:
-    """Per-index sums over frontal slices of the fiber 2-norms along ``axis``,
-    normalized to sum to 1; raises ZeroTensor with ``empty`` if all are zero,
-    and NonFiniteInput if a norm is NaN or infinite (e.g. an overflowed FFT)."""
+def _fiber_sums(fibers: np.ndarray, axis: int) -> np.ndarray:
+    """Per-index sums over frontal slices of the fiber 2-norms along ``axis``
+    of a complex tensor, neither normalized nor checked."""
     # One einsum over a float64 view (real, imag as a last axis of 2) sums
     # the squares with no full-size temporary; np.linalg.norm made two.
     parts = fibers[..., None].view(np.float64)
     kept = "ijk".replace("ijk"[axis], "")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked through the total below
-        per_index = np.sqrt(np.einsum(f"ijkc,ijkc->{kept}", parts, parts)).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _fiber_scores
+        return np.sqrt(np.einsum(f"ijkc,ijkc->{kept}", parts, parts)).sum(axis=1)
+
+
+def _fiber_scores(per_index: np.ndarray, empty: str) -> np.ndarray:
+    """``per_index`` from :func:`_fiber_sums`, normalized to sum to 1; raises
+    ZeroTensor with ``empty`` if all are zero, and NonFiniteInput if a sum is
+    NaN or infinite (e.g. from an overflowed FFT)."""
     total = float(per_index.sum())
     if not np.isfinite(total):  # norms are >= 0, so one NaN or inf reaches the total
         raise NonFiniteInput(f"fiber norms sum to {total}: spectrum is not finite")
     if total == 0.0:
         raise ZeroTensor(empty)
     return per_index / total
+
+
+_NO_COLUMN_NORM = "cannot score columns of an all-zero tensor"
+_NO_ROW_NORM = "selected columns have zero norm in every row"
 
 
 def column_scores(w_hat: np.ndarray) -> np.ndarray:
@@ -83,7 +95,7 @@ def column_scores(w_hat: np.ndarray) -> np.ndarray:
         NonFiniteInput: a fiber norm is NaN or infinite.
     """
     w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
-    return _fiber_scores(w_hat, 0, "cannot score columns of an all-zero tensor")
+    return _fiber_scores(_fiber_sums(w_hat, 0), _NO_COLUMN_NORM)
 
 
 def row_scores(w_hat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -100,7 +112,14 @@ def row_scores(w_hat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """
     w_hat = _as_tensor3(w_hat, "w_hat", np.complex128)
     cols = _validate_index_set(cols, w_hat.shape[1], "cols")
-    return _fiber_scores(w_hat[:, cols, :], 1, "selected columns have zero norm in every row")
+    return _fiber_scores(_fiber_sums(w_hat[:, cols, :], 1), _NO_ROW_NORM)
+
+
+def _check_rank(rank, n: int, context: str = "") -> None:
+    """Raise RankOutOfRange unless ``rank`` is an integer (not a bool) in [1, n]."""
+    if (isinstance(rank, bool) or not isinstance(rank, (int, np.integer))
+            or not 1 <= rank <= n):
+        raise RankOutOfRange(f"rank {rank!r} is not an integer in [1, {n}]{context}")
 
 
 def select_top_r(scores: np.ndarray, r: int) -> np.ndarray:
@@ -109,14 +128,13 @@ def select_top_r(scores: np.ndarray, r: int) -> np.ndarray:
     Returns the index set sorted ascending. Deterministic by construction.
 
     Raises:
-        RankOutOfRange: r outside [1, len(scores)].
+        RankOutOfRange: r is not an integer in [1, len(scores)].
         NonFiniteInput: a score is NaN or infinite.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     if not np.isfinite(scores).all():
         raise NonFiniteInput("cannot rank NaN or infinite scores")
-    if not 1 <= r <= scores.size:
-        raise RankOutOfRange(f"rank {r} outside [1, {scores.size}]")
+    _check_rank(r, scores.size)
     # Stable sort on the negated scores keeps the original (ascending index)
     # order among equal scores.
     order = np.argsort(-scores, kind="stable")
@@ -137,6 +155,18 @@ def _validate_index_set(idx, n: int, name: str) -> np.ndarray:
     return idx
 
 
+#: Bytes of complex spectrum per block in :func:`tcur` (a block is at least
+#: one index wide). Chosen by timing; see CHANGES.md.
+_BLOCK_BYTES = 4 << 20
+
+
+def _blocks(n: int, spectrum_bytes_per_index: int) -> list[slice]:
+    """Consecutive slices covering range(n), each holding at most
+    ``_BLOCK_BYTES`` of spectrum (but at least one index)."""
+    width = max(1, _BLOCK_BYTES // spectrum_bytes_per_index)
+    return [slice(i, i + width) for i in range(0, n, width)]
+
+
 def tcur(w: np.ndarray, rank: int) -> TcurFactors:
     """Tensor CUR decomposition of ``w`` at the given rank.
 
@@ -144,29 +174,41 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
     columns). Factors are extracted in the Fourier domain and transformed
     back to the spatial domain.
 
+    No temporary the size of ``w`` is made. Finiteness is checked in row
+    slabs, and columns are scored from the FFT of one column block at a
+    time, each at most ``_BLOCK_BYTES`` of spectrum; the mode-3 FFT acts
+    tube by tube, so the scores are those of the whole spectrum, bit for
+    bit. Only the selected columns W(:, J, :) and rows W(I, :, :) are then
+    transformed again, for the row scores and the factors.
+
     Args:
         w: tensor to decompose, (n1, n2, n3), nonzero.
-        rank: number of columns and rows to sample, in [1, min(n1, n2)].
+        rank: number of columns and rows to sample, an integer in
+            [1, min(n1, n2)].
 
     Raises:
         NonFiniteInput: w has a NaN or infinite entry, or its FFT overflows.
-        RankOutOfRange: rank outside [1, min(n1, n2)].
+        RankOutOfRange: rank is not an integer in [1, min(n1, n2)].
         ZeroTensor: w has zero norm.
         DimMismatch: w is complex or not third-order.
     """
     w = _as_tensor3(w, "w")
-    if not np.isfinite(w).all():
-        raise NonFiniteInput("cannot decompose a tensor with NaN or infinite entries")
-    n1, n2, _ = w.shape
-    if not 1 <= rank <= min(n1, n2):
-        raise RankOutOfRange(f"rank {rank} outside [1, {min(n1, n2)}] for dims {w.shape}")
+    n1, n2, n3 = w.shape
+    fiber = 16 * n3  # spectrum bytes of one tube
+    for b in _blocks(n1, fiber * n2):  # row slabs: contiguous in a C-ordered w
+        if not np.isfinite(w[b]).all():
+            raise NonFiniteInput("cannot decompose a tensor with NaN or infinite entries")
+    _check_rank(rank, min(n1, n2), f" for dims {w.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches the scores' check
-        w_hat = fft_mode3(w)
-    cols = select_top_r(column_scores(w_hat), rank)
-    rows = select_top_r(row_scores(w_hat, cols), rank)
-    c = ifft_mode3(w_hat[:, cols, :])
+        sums = np.concatenate([_fiber_sums(fft_mode3(w[:, b]), 0)
+                               for b in _blocks(n2, fiber * n1)])
+    cols = select_top_r(_fiber_scores(sums, _NO_COLUMN_NORM), rank)
+    c_hat = fft_mode3(w[:, cols])
+    rows = select_top_r(_fiber_scores(_fiber_sums(c_hat, 1), _NO_ROW_NORM), rank)
+    c = ifft_mode3(c_hat)
+    del c_hat  # freed before R's transforms, which set the peak
     # The inverse FFT acts tube by tube, so W(I, J, :) is C's row sample.
-    return TcurFactors(C=c, U_core=c[rows], R=ifft_mode3(w_hat[rows]), rows=rows, cols=cols)
+    return TcurFactors(C=c, U_core=c[rows], R=ifft_mode3(fft_mode3(w[rows])), rows=rows, cols=cols)
 
 
 def reconstruct(f: TcurFactors) -> np.ndarray:

@@ -427,11 +427,12 @@ def _bitrot(write):
     return bad
 
 
-def _reversed(column_scores):
-    # Still non-negative and summing to 1, but ranks the columns backwards.
-    def bad(w_hat):
-        s = column_scores(w_hat)
-        return (s.max() + s.min() - s) / (s.size * (s.max() + s.min()) - 1.0)
+def _reversed(fiber_sums):
+    # Still non-negative, so the scores still sum to 1, but each call ranks
+    # its per-index sums backwards.
+    def bad(fibers, axis):
+        s = fiber_sums(fibers, axis)
+        return s.max() + s.min() - s
     return bad
 
 
@@ -441,7 +442,7 @@ def _reversed(column_scores):
 FAULTS = {
     "tprod-scale": (ops, "tprod", lambda tprod: lambda *ts: tprod(*ts) * (1.0 + 1e-6)),
     "fft-normalized": (ops, "fft_mode3", lambda fft: lambda t: fft(t) / np.shape(t)[2]),
-    "scores-reversed": (decomp, "column_scores", _reversed),
+    "scores-reversed": (decomp, "_fiber_sums", _reversed),
     "grad-no-conjugate": (trainer, "_spec_grad",
                           lambda g: lambda c, e, r, n3: g(c.conj(), e, r.conj(), n3)),
     "grad-scale": (trainer, "grad_core", lambda grad: lambda a, g: 1.01 * grad(a, g)),

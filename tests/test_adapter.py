@@ -97,6 +97,8 @@ def test_init_adapter_rank_bounds():
         init_adapter(base, 0)
     with pytest.raises(RankOutOfRange):
         init_adapter(base, 5)
+    with pytest.raises(RankOutOfRange):
+        init_adapter(base, 3.0)
 
 
 def test_delta_is_bilinear_in_the_core():

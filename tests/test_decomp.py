@@ -10,6 +10,7 @@ from tcur import (
     RankOutOfRange,
     ZeroTensor,
     column_scores,
+    decomp,
     fft_mode3,
     ifft_mode3,
     reconstruct,
@@ -93,14 +94,15 @@ def test_select_top_r_sorted_ascending():
     assert idx.tolist() == sorted(idx.tolist()) == [1, 2, 3]
 
 
-@pytest.mark.parametrize("r", [0, -1, 4])
+@pytest.mark.parametrize("r", [0, -1, 4, 3.0, 2.5, True])
 def test_select_top_r_rank_bounds(r):
     with pytest.raises(RankOutOfRange):
         select_top_r(np.array([0.5, 0.3, 0.2]), r)
 
 
-@pytest.mark.parametrize("r", [0, 6, 99])
-def test_tcur_rank_bounds(r):
+@pytest.mark.parametrize("r", [0, 6, 99, 3.0, 2.5, True])
+def test_tcur_rank_bounds(r, monkeypatch):
+    monkeypatch.setattr(decomp, "fft_mode3", None)  # the rank is checked before any transform
     with pytest.raises(RankOutOfRange):
         tcur(np.ones((5, 6, 2)), r)
 
@@ -272,3 +274,66 @@ def test_factor_shapes_and_immutability():
     assert f.rank == len(f.rows) == 2
     with pytest.raises(AttributeError):
         f.rank = 3  # derived from rows, and the dataclass is frozen
+
+
+def _full_spectrum_tcur(w, r):
+    # The whole-spectrum formula tcur used before it worked in column
+    # blocks; kept as the oracle the blocked path must match bit for bit.
+    h = fft_mode3(w)
+    cols = select_top_r(column_scores(h), r)
+    rows = select_top_r(row_scores(h, cols), r)
+    c = ifft_mode3(h[:, cols, :])
+    return rows, cols, c, c[rows], ifft_mode3(h[rows])
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 7, 8])
+@pytest.mark.parametrize("block_cols", [1, 3, None], ids=["1-col", "3-col", "constant"])
+def test_blocked_tcur_matches_the_full_spectrum_bit_for_bit(n3, block_cols, monkeypatch):
+    if block_cols is not None:
+        monkeypatch.setattr(decomp, "_BLOCK_BYTES", block_cols * 16 * 9 * n3)
+    rng = np.random.default_rng(60 + n3)
+    w = rng.standard_normal((9, 11, n3))
+    w[:, 2] *= 3.0
+    w[:, 10] = w[:, 2]  # an exact tie for the top score, in a later block
+    for r in (1, 2, 5):
+        f = tcur(w, r)
+        want = _full_spectrum_tcur(w, r)
+        for got, exp in zip((f.rows, f.cols, f.C, f.U_core, f.R), want):
+            assert got.dtype == exp.dtype and got.shape == exp.shape
+            assert got.tobytes() == exp.tobytes()
+    assert tcur(w, 1).cols.tolist() == [2]  # the tie goes to the smaller index
+
+
+def test_blocked_tcur_matches_the_full_spectrum_across_constant_sized_blocks():
+    w = np.random.default_rng(67).standard_normal((96, 700, 16))
+    assert 96 * 700 * 16 * 16 > 2 * decomp._BLOCK_BYTES  # three blocks or more
+    f = tcur(w, 8)
+    for got, exp in zip((f.rows, f.cols, f.C, f.U_core, f.R), _full_spectrum_tcur(w, 8)):
+        assert got.tobytes() == exp.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308], ids=["nan", "inf", "overflow"])
+def test_tcur_finds_a_bad_value_in_the_last_block(bad, monkeypatch):
+    monkeypatch.setattr(decomp, "_BLOCK_BYTES", 1)  # one row, or one column, per block
+    w = np.random.default_rng(68).standard_normal((4, 5, 3))
+    if bad == 1e308:
+        w[:, -1, :] = bad  # finite, but the last column's FFT overflows
+    else:
+        w[-1, -1, -1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput):
+            tcur(w, 2)
+        if bad != 1e308:  # non-finite input is named before a bad rank
+            with pytest.raises(NonFiniteInput):
+                tcur(w, 99)
+        with pytest.raises(ZeroTensor):
+            tcur(np.zeros((4, 5, 3)), 2)
+
+
+def test_tcur_holds_no_full_size_temporary(traced_peak):
+    # ckpt-pipeline's shape: its spectrum spans three blocks; the whole
+    # spectrum alone would be 2x the input.
+    w = np.random.default_rng(69).standard_normal((192, 160, 24))
+    peak = traced_peak(lambda: tcur(w, 12))
+    assert peak <= 1.2 * w.nbytes, f"peak {peak / w.nbytes:.3f}x the input"
