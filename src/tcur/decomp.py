@@ -155,9 +155,15 @@ def _validate_index_set(idx, n: int, name: str) -> np.ndarray:
     return idx
 
 
-#: Bytes of complex spectrum per block in :func:`tcur` (a block is at least
-#: one index wide). Chosen by timing; see CHANGES.md.
+#: Bytes of complex spectrum per column block in :func:`tcur` (a block is
+#: at least one column wide). Chosen by timing; see CHANGES.md.
 _BLOCK_BYTES = 4 << 20
+
+#: A column block whose rows hold fewer input bytes than this is copied
+#: contiguous before its FFT, adding half its spectrum's bytes: ``rfft`` of
+#: the strided view runs one inner loop per row, and on short rows those
+#: cost more than the copy (at 3072x768x12, 534 ms against 353 ms).
+_MIN_ROW_BYTES = 4 << 10
 
 
 def _blocks(n: int, spectrum_bytes_per_index: int) -> list[slice]:
@@ -176,10 +182,11 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
 
     No temporary the size of ``w`` is made. Finiteness is checked in row
     slabs, and columns are scored from the FFT of one column block at a
-    time, each at most ``_BLOCK_BYTES`` of spectrum; the mode-3 FFT acts
-    tube by tube, so the scores are those of the whole spectrum, bit for
-    bit. Only the selected columns W(:, J, :) and rows W(I, :, :) are then
-    transformed again, for the row scores and the factors.
+    time, each at most ``_BLOCK_BYTES`` of spectrum (and copied contiguous
+    first if its rows are short); the mode-3 FFT acts tube by tube, so the
+    scores are those of the whole spectrum, bit for bit. Only the selected
+    columns W(:, J, :) and rows W(I, :, :) are then transformed again, for
+    the row scores and the factors.
 
     Args:
         w: tensor to decompose, (n1, n2, n3), nonzero.
@@ -195,13 +202,16 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
     w = _as_tensor3(w, "w")
     n1, n2, n3 = w.shape
     fiber = 16 * n3  # spectrum bytes of one tube
-    for b in _blocks(n1, fiber * n2):  # row slabs: contiguous in a C-ordered w
+    # Row slabs, contiguous in a C-ordered w, each mask at most _BLOCK_BYTES
+    # / 16; the loop-free w.min() and w.max() timed 1.4-1.6x slower.
+    for b in _blocks(n1, fiber * n2):
         if not np.isfinite(w[b]).all():
             raise NonFiniteInput("cannot decompose a tensor with NaN or infinite entries")
     _check_rank(rank, min(n1, n2), f" for dims {w.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reaches the scores' check
-        sums = np.concatenate([_fiber_sums(fft_mode3(w[:, b]), 0)
-                               for b in _blocks(n2, fiber * n1)])
+        blocks = _blocks(n2, fiber * n1)
+        prep = np.ascontiguousarray if 8 * n3 * blocks[0].stop < _MIN_ROW_BYTES else np.asarray
+        sums = np.concatenate([_fiber_sums(fft_mode3(prep(w[:, b])), 0) for b in blocks])
     cols = select_top_r(_fiber_scores(sums, _NO_COLUMN_NORM), rank)
     c_hat = fft_mode3(w[:, cols])
     rows = select_top_r(_fiber_scores(_fiber_sums(c_hat, 1), _NO_ROW_NORM), rank)

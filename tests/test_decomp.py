@@ -304,9 +304,11 @@ def test_blocked_tcur_matches_the_full_spectrum_bit_for_bit(n3, block_cols, monk
     assert tcur(w, 1).cols.tolist() == [2]  # the tie goes to the smaller index
 
 
-def test_blocked_tcur_matches_the_full_spectrum_across_constant_sized_blocks():
-    w = np.random.default_rng(67).standard_normal((96, 700, 16))
-    assert 96 * 700 * 16 * 16 > 2 * decomp._BLOCK_BYTES  # three blocks or more
+@pytest.mark.parametrize("dims", [(96, 700, 16), (700, 96, 16)], ids=["wide", "tall"])
+def test_blocked_tcur_matches_the_full_spectrum_across_constant_sized_blocks(dims):
+    # The tall blocks' rows are short, so they are copied before the FFT.
+    w = np.random.default_rng(67).standard_normal(dims)
+    assert w.size * 16 > 2 * decomp._BLOCK_BYTES  # three blocks or more
     f = tcur(w, 8)
     for got, exp in zip((f.rows, f.cols, f.C, f.U_core, f.R), _full_spectrum_tcur(w, 8)):
         assert got.tobytes() == exp.tobytes()
