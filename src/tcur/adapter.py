@@ -99,6 +99,10 @@ def stack_layers(
     Slice k of a group holds the k-th (layer, field) pair of its ``LAYOUT``
     entry in layer-major order, so W_sa slice 4*layer + role holds that
     layer's role-th projection. Pure reindexing, no arithmetic.
+
+    Raises:
+        DimMismatch: not ``cfg.n_layers`` layers, or a matrix that is not
+            shaped as ``LAYOUT`` says or is complex.
     """
     if len(layers) != cfg.n_layers:
         raise DimMismatch(f"expected {cfg.n_layers} layers, got {len(layers)}")
@@ -109,6 +113,8 @@ def stack_layers(
             m = getattr(layers[li], name)
             if np.shape(m) != w.shape[:2]:
                 raise DimMismatch(f"layer {li} {name}: expected {w.shape[:2]}, got {np.shape(m)}")
+            if np.iscomplexobj(m):  # assigning it would keep only the real part
+                raise DimMismatch(f"layer {li} {name} must be real, got {np.asarray(m).dtype}")
             w[:, :, k] = m
         stacked.append(w)
     return tuple(stacked)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapter import ROLE_ORDER, Adapter
-from .decomp import TcurFactors, _validate_index_set
+from .decomp import TcurFactors
 from .errors import CorruptCheckpoint, TcurError, UnsupportedVersion
 from .tensor_ops import _as_tensor3
 
@@ -46,57 +46,48 @@ STACK_ORDER = "layer-major;roles=" + ",".join(ROLE_ORDER)
 _HEADER = struct.Struct("<III")  # version, kind, meta_len
 
 
-#: kind code -> (name, payload type, {tensor: dims} in file order,
-#: {meta field: the type or converter it is held by}). Each dim is a
-#: symbol shared by the kind's tensors; "r" is the rank.
+#: kind code -> (name, payload type, tensor names in file order, meta
+#: fields). A tensor that is not a field of the payload type (the factor
+#: ``U_core``) is one the payload derives.
 _KINDS = {
-    0: ("raw_tensor", np.ndarray, {"tensor": "abc"}, {}),
-    1: ("tcur_factors", TcurFactors, {"C": "arc", "U_core": "rrc", "R": "rbc"},
-        {"rank": int, "rows": np.asarray, "cols": np.asarray, "sv_tol_factor": float}),
-    2: ("adapter", Adapter, {"base": "abc", "C": "arc", "R": "rbc", "U": "rrc"},
-        {"rank": int}),
+    0: ("raw_tensor", np.ndarray, ("tensor",), ()),
+    1: ("tcur_factors", TcurFactors, ("C", "U_core", "R"),
+        ("rank", "rows", "cols", "sv_tol_factor")),
+    2: ("adapter", Adapter, ("base", "C", "R", "U"), ("rank",)),
 }
 
 
 def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
     """Validate a payload; returns (kind, meta JSON bytes, tensors in file order).
 
+    A TcurFactors or Adapter is rebuilt first, so its own construction
+    checks run again on what it holds now (a reassigned adapter core, an
+    index set edited in place). The container adds its own rules.
+
     Raises:
         TypeError: not a raw tensor, TcurFactors, or Adapter.
-        ValueError: a tensor is not a real third-order tensor
-            (``_as_tensor3``) or has non-finite entries; dims disagree
-            across tensors; an index set is not ``rank`` indices that
-            ``_validate_index_set`` accepts; a factor core is not C[rows].
+        ValueError: the payload type's checks fail, or a tensor is not a
+            real third-order tensor (``_as_tensor3``) or is not finite.
     """
     kind = next((k for k, spec in _KINDS.items() if isinstance(payload, spec[1])), None)
     if kind is None:
         raise TypeError(f"unsupported checkpoint payload type: {type(payload).__name__}")
-    name, ptype, dims, fields = _KINDS[kind]
-    parts = {f: payload if ptype is np.ndarray else getattr(payload, f)
-             for f in (*dims, *fields)}
-    size, tensors = {}, {}
-    for tname, symbols in dims.items():
+    name, ptype, tnames, fields = _KINDS[kind]
+    if ptype is not np.ndarray:
+        payload = dataclasses.replace(payload)
+    parts = {n: payload if ptype is np.ndarray else getattr(payload, n)
+             for n in (*tnames, *fields)}
+    tensors = {}
+    for tname in tnames:
         t = tensors[tname] = _as_tensor3(parts[tname], f"checkpoint tensor {tname!r}")
-        if any(size.setdefault(s, n) != n for s, n in zip(symbols, t.shape)):
-            raise ValueError(f"checkpoint tensor {tname!r} has shape {t.shape}, "
-                             f"not ({', '.join(symbols)}) with {size}")
         if not np.isfinite(t).all():
             raise ValueError(f"checkpoint tensor {tname!r} contains non-finite entries")
-    extras = {f: held(parts[f]) for f, held in fields.items()}
-    if ptype is TcurFactors:
-        for f, s in (("rows", "a"), ("cols", "b")):
-            if extras[f].shape != (size["r"],):  # _validate_index_set would flatten it
-                raise ValueError(f"{f} must be {size['r']} indices, got shape {extras[f].shape}")
-            extras[f] = _validate_index_set(extras[f], size[s], f)
-        # The core is C's row sample W(I, J, :), not a third factor.
-        if not np.array_equal(tensors["U_core"], tensors["C"][extras["rows"]]):
-            raise ValueError("U_core is not C[rows], the row sample of C")
     meta = {
         "kind": name,
         "layout": LAYOUT,
         "stack_order": STACK_ORDER,
         "tensors": [{"name": n, "dims": list(t.shape)} for n, t in tensors.items()],
-        **{f: v.tolist() if isinstance(v, np.ndarray) else v for f, v in extras.items()},
+        **{f: np.asarray(parts[f]).tolist() for f in fields},
     }
     return kind, json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8"), tensors
 
@@ -131,7 +122,8 @@ def read_checkpoint(path):
     Checks magic, version, checksum, and that the manifest's dims cover
     the payload exactly, then rebuilds the payload and accepts it only if
     the writer would write this same file for it: every rule the writer
-    enforces holds, and the meta JSON is the canonical rendering.
+    enforces holds, the meta JSON is the canonical rendering, and a stored
+    tensor the payload derives (the factor ``U_core``) is the derived one.
 
     Raises:
         CorruptCheckpoint: bad magic, checksum, structure, or a payload or
@@ -189,13 +181,17 @@ def read_checkpoint(path):
     if offset != end:
         raise CorruptCheckpoint(f"payload length mismatch: manifest ends at {offset}, file at {end}")
 
-    _, ptype, _, fields = _KINDS[kind]
+    _, ptype, tnames, fields = _KINDS[kind]
+    own = {"tensor"} if ptype is np.ndarray else {f.name for f in dataclasses.fields(ptype)}
     try:
-        parts.update((f, held(meta[f])) for f, held in fields.items())
-        payload = (parts["tensor"] if ptype is np.ndarray
-                   else ptype(**{f.name: parts[f.name] for f in dataclasses.fields(ptype)}))
-        if _encode(payload)[1] != meta_bytes:
+        parts.update((f, meta[f]) for f in fields)
+        payload = parts["tensor"] if ptype is np.ndarray else ptype(**{n: parts[n] for n in own})
+        _, canonical, tensors = _encode(payload)
+        if canonical != meta_bytes:
             raise ValueError("meta is not what the writer renders for this payload")
+        for n in set(tnames) - own:  # the payload holds the others as read
+            if not np.array_equal(parts[n], tensors[n]):
+                raise ValueError(f"stored {n} is not the {n} the payload derives")
     except (KeyError, TypeError, ValueError, OverflowError, TcurError) as e:
         raise CorruptCheckpoint(f"inconsistent metadata: {e}") from e
     return payload

@@ -37,24 +37,42 @@ class TcurFactors:
     """Frozen output of :func:`tcur`.
 
     Attributes:
-        C: column slab, (n1, rank, n3).
-        U_core: sampled intersection W(I, J, :), (rank, rank, n3).
-            This is the raw sample, not its pseudoinverse.
-        R: row slab, (rank, n2, n3).
+        C: column slab W(:, J, :), (n1, rank, n3).
+        R: row slab W(I, :, :), (rank, n2, n3).
         rows: selected row indices I, ascending.
         cols: selected column indices J, ascending.
+        U_core: sampled intersection W(I, J, :), (rank, rank, n3), read
+            off as ``C[rows]``: the raw sample, not its pseudoinverse.
         rank: number of sampled rows = columns, ``len(rows)``.
         sv_tol_factor: the fixed truncation factor reconstruction uses.
+
+    Construction stores C and R as float64 and rows and cols as ``intp``.
+
+    Raises:
+        DimMismatch: C or R is not a real third-order tensor, or they are
+            not (n1, r, n3) and (r, n2, n3) for one r and n3; rows or cols
+            is not r strictly increasing integers below n1 or n2.
     """
 
     C: np.ndarray
-    U_core: np.ndarray
     R: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     sv_tol_factor: ClassVar[float] = DEFAULT_SV_TOL_FACTOR
 
     rank = property(lambda self: len(self.rows))
+    U_core = property(lambda self: self.C[self.rows])
+
+    def __post_init__(self) -> None:
+        c, r = _as_tensor3(self.C, "factor C"), _as_tensor3(self.R, "factor R")
+        (n1, rank, n3), n2 = c.shape, r.shape[1]
+        if r.shape != (rank, n2, n3):
+            raise DimMismatch(f"factor R has shape {r.shape}, not ({rank}, n2, {n3}) "
+                              f"for C of shape {c.shape}")
+        for name, value in (("C", c), ("R", r),
+                            ("rows", _validate_index_set(self.rows, n1, "rows", rank)),
+                            ("cols", _validate_index_set(self.cols, n2, "cols", rank))):
+            object.__setattr__(self, name, value)
 
 
 def _fiber_sums(fibers: np.ndarray, axis: int) -> np.ndarray:
@@ -141,7 +159,11 @@ def select_top_r(scores: np.ndarray, r: int) -> np.ndarray:
     return np.sort(order[:r])
 
 
-def _validate_index_set(idx, n: int, name: str) -> np.ndarray:
+def _validate_index_set(idx, n: int, name: str, size: int | None = None) -> np.ndarray:
+    """``idx`` as ``intp``: strictly increasing integers below ``n``, and
+    exactly ``size`` of them in one dimension if ``size`` is given."""
+    if size is not None and np.shape(idx) != (size,):  # ravel would hide a 2-D set
+        raise DimMismatch(f"{name} must be {size} indices, got shape {np.shape(idx)}")
     idx = np.asarray(idx).ravel()
     if idx.size == 0:
         raise RankOutOfRange(f"{name} must select at least one index")
@@ -217,8 +239,7 @@ def tcur(w: np.ndarray, rank: int) -> TcurFactors:
     rows = select_top_r(_fiber_scores(_fiber_sums(c_hat, 1), _NO_ROW_NORM), rank)
     c = ifft_mode3(c_hat)
     del c_hat  # freed before R's transforms, which set the peak
-    # The inverse FFT acts tube by tube, so W(I, J, :) is C's row sample.
-    return TcurFactors(C=c, U_core=c[rows], R=ifft_mode3(fft_mode3(w[rows])), rows=rows, cols=cols)
+    return TcurFactors(C=c, R=ifft_mode3(fft_mode3(w[rows])), rows=rows, cols=cols)
 
 
 def reconstruct(f: TcurFactors) -> np.ndarray:
@@ -228,6 +249,6 @@ def reconstruct(f: TcurFactors) -> np.ndarray:
     the sampled core is full-rank, which holds generically.
 
     Raises:
-        NonFiniteInput: U_core has a NaN or infinite entry (from ``tpinv``).
+        NonFiniteInput: U_core = C[rows] has a NaN or infinite entry (from ``tpinv``).
     """
     return tprod(f.C, tpinv(f.U_core), f.R)

@@ -246,14 +246,15 @@ def train(
         rel_stop: optional relative early-stop threshold, >= 0.
 
     Raises:
-        ValueError: steps < 1, lr or rel_stop negative or NaN, or an
+        ValueError: steps is not an integer (``int`` or ``np.integer``,
+            not ``bool``) >= 1, lr or rel_stop negative or NaN, or an
             unknown optimizer.
         NonFiniteInput: the initial loss is NaN or infinite.
         DivergenceDetected: a step's loss is NaN or infinite, or exceeded
             1e6 x the initial loss.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     if not lr >= 0:  # also rejects NaN
         raise ValueError(f"lr must be >= 0, got {lr}")
     if rel_stop is not None and not rel_stop >= 0:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,15 @@ class TestStacking:
         layers[1].up = rng.standard_normal((6, 23))
         with pytest.raises(DimMismatch):
             stack_layers(layers, self.cfg)
+
+    def test_complex_matrix_rejected_not_cut_to_real(self):
+        rng = np.random.default_rng(9)
+        layers = self.make_layers(rng)
+        layers[1].q = layers[1].q + 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning on the way
+            with pytest.raises(DimMismatch, match="layer 1 q"):
+                stack_layers(layers, self.cfg)
 
     def test_wrong_down_shape_rejected(self):
         rng = np.random.default_rng(9)

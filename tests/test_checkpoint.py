@@ -80,10 +80,13 @@ def craft_kind(kind: int, tensors: dict, extras: dict) -> bytes:
     return craft(meta, payload, kind=kind)
 
 
-def factor_parts(f: TcurFactors) -> tuple[dict, dict]:
-    tensors = {"C": f.C, "U_core": f.U_core, "R": f.R}
-    extras = {"rank": len(f.rows), "rows": np.asarray(f.rows).tolist(),
-              "cols": np.asarray(f.cols).tolist(), "sv_tol_factor": SV_TOL_FACTOR}
+def factor_parts(f: TcurFactors, **edit) -> tuple[dict, dict]:
+    """The file parts of ``f`` with the parts named in ``edit`` replaced,
+    unchecked: a TcurFactors refuses most such edits when it is built."""
+    p = {"C": f.C, "U_core": f.U_core, "R": f.R, "rows": f.rows, "cols": f.cols, **edit}
+    tensors = {n: p[n] for n in ("C", "U_core", "R")}
+    extras = {"rank": len(p["rows"]), "rows": np.asarray(p["rows"]).tolist(),
+              "cols": np.asarray(p["cols"]).tolist(), "sv_tol_factor": SV_TOL_FACTOR}
     return tensors, extras
 
 
@@ -408,62 +411,84 @@ def test_non_canonical_meta_rejected(tmp_path, meta):
         read_checkpoint(path)
 
 
+def _factors(rank):
+    return tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), rank)
+
+
+# Each helper returns a payload and an edit that breaks it, or no edit if
+# the payload is already broken. The writer gets the payload, or
+# ``dataclasses.replace(payload, **edit)``, which refuses the edit when it
+# is built; the reader gets a file crafted from the payload's parts with
+# the edit applied.
+
 def _bad_factors_rows():
-    f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 5)
-    return dataclasses.replace(f, rows=np.array([0, 0, 99]))
+    return _factors(5), {"rows": np.array([0, 0, 99])}
 
 
 def _fractional_factors_rows():
     # each row is 0.25 above a valid one, so truncation would hide it
-    f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 5)
-    return dataclasses.replace(f, rows=f.rows + 0.25)
+    f = _factors(5)
+    return f, {"rows": f.rows + 0.25}
 
 
 def _core_not_row_sample():
     # every shape agrees, but the core is not W(I, J, :) = C[rows]
-    f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 3)
-    return dataclasses.replace(f, U_core=f.U_core + 1)
+    f = _factors(3)
+    return f, {"U_core": f.U_core + 1}
 
 
 def _rows_2d():
-    # _validate_index_set flattens its input, so only the shape check sees this
-    f = tcur(np.random.default_rng(12).standard_normal((6, 7, 4)), 3)
-    return dataclasses.replace(f, rows=f.rows[None, :])
+    # _validate_index_set flattens it unless told the expected size
+    f = _factors(3)
+    return f, {"rows": f.rows[None, :]}
+
+
+def _rows_edited_in_place():
+    # Built valid, then edited: the writer sees it only by re-running the
+    # factor set's own checks.
+    f = _factors(3)
+    f.rows[0] = f.rows[1]
+    return f, {}
 
 
 def _bad_adapter_core():
     # The Adapter checks U's shape on construction; training may reassign it.
     a = init_adapter(np.random.default_rng(13).standard_normal((5, 6, 2)), 2)
     a.U = np.zeros((3, 3, 2))
-    return a
+    return a, {}
 
 
 CROSS_FIELD = {
-    "rows-not-an-index-set": (1, _bad_factors_rows, factor_parts),
-    "rows-fractional": (1, _fractional_factors_rows, factor_parts),
-    "core-dims-not-rank": (2, _bad_adapter_core, adapter_parts),
-    "core-not-row-sample": (1, _core_not_row_sample, factor_parts),
-    "rows-2d": (1, _rows_2d, factor_parts),
+    "rows-not-an-index-set": (1, _bad_factors_rows),
+    "rows-fractional": (1, _fractional_factors_rows),
+    "rows-edited-in-place": (1, _rows_edited_in_place),
+    "core-dims-not-rank": (2, _bad_adapter_core),
+    "core-not-row-sample": (1, _core_not_row_sample),
+    "rows-2d": (1, _rows_2d),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CROSS_FIELD))
 def test_cross_field_inconsistency_rejected_on_read(tmp_path, case):
-    kind, make, parts = CROSS_FIELD[case]
+    kind, make = CROSS_FIELD[case]
+    payload, edit = make()
+    parts = factor_parts(payload, **edit) if kind == 1 else adapter_parts(payload)
     path = tmp_path / "w.tcur"
-    path.write_bytes(craft_kind(kind, *parts(make())))  # valid CRC
+    path.write_bytes(craft_kind(kind, *parts))  # valid CRC
     with pytest.raises(CorruptCheckpoint):
         read_checkpoint(path)
 
 
-@pytest.mark.parametrize("case", sorted(CROSS_FIELD))
+# No factor set can hold a core other than C[rows], so that case has no writer side.
+@pytest.mark.parametrize("case", sorted(set(CROSS_FIELD) - {"core-not-row-sample"}))
 def test_cross_field_inconsistency_rejected_before_write(tmp_path, case):
-    _, make, _ = CROSS_FIELD[case]
+    _, make = CROSS_FIELD[case]
+    payload, edit = make()
     path = tmp_path / "w.tcur"
     write_checkpoint(path, np.ones((2, 2, 2)))
     before = path.read_bytes()
     with pytest.raises(ValueError):
-        write_checkpoint(path, make())
+        write_checkpoint(path, dataclasses.replace(payload, **edit) if edit else payload)
     assert path.read_bytes() == before
 
 

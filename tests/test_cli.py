@@ -1,6 +1,8 @@
 import json
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -327,6 +329,22 @@ def test_corrupt_input_exits_two(tmp_path, capsys):
     w_path.write_bytes(bytes(raw))
     code, _, err = run_cli(capsys, "decompose", str(w_path), "--rank", "2",
                            "--out", str(tmp_path / "f.tcur"))
+    assert code == 2
+    assert "checkpoint error" in err
+
+
+def test_factor_file_whose_core_is_not_the_row_sample_exits_two(tmp_path, capsys):
+    w_path, f_path = str(tmp_path / "w.tcur"), tmp_path / "f.tcur"
+    run_cli(capsys, "gen", "--dims", "6", "7", "4", "--seed", "0", "--out", w_path)
+    run_cli(capsys, "decompose", w_path, "--rank", "3", "--out", str(f_path))
+    f = read_checkpoint(f_path)
+    raw = f_path.read_bytes()
+    # U_core is the second tensor in the file: add 1 to each of its doubles.
+    start = 16 + struct.unpack_from("<I", raw, 12)[0] + f.C.nbytes
+    core = np.frombuffer(raw, "<f8", f.U_core.size, start) + 1.0
+    body = raw[4:start] + core.tobytes() + raw[start + core.nbytes:-4]
+    f_path.write_bytes(b"TCUR" + body + struct.pack("<I", zlib.crc32(body)))  # valid CRC
+    code, _, err = run_cli(capsys, "reconstruct", str(f_path), "--out", str(tmp_path / "o.tcur"))
     assert code == 2
     assert "checkpoint error" in err
 

@@ -251,11 +251,14 @@ def test_exact_reconstruction_at_true_tubal_rank():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_reconstruct_rejects_non_finite_core(bad):
+    # The core is C's row sample, so the bad value goes in a selected row of C.
     f = tcur(np.random.default_rng(29).standard_normal((5, 6, 4)), 2)
-    core = f.U_core.copy()
-    core[0, 1, 2] = bad
+    c = f.C.copy()
+    c[f.rows[0], 1, 2] = bad
+    g = dataclasses.replace(f, C=c)
+    assert not np.isfinite(g.U_core).all()
     with pytest.raises(NonFiniteInput):
-        reconstruct(dataclasses.replace(f, U_core=core))
+        reconstruct(g)
 
 
 def test_full_selection_recovers_any_tensor():
@@ -274,6 +277,42 @@ def test_factor_shapes_and_immutability():
     assert f.rank == len(f.rows) == 2
     with pytest.raises(AttributeError):
         f.rank = 3  # derived from rows, and the dataclass is frozen
+    with pytest.raises(AttributeError):
+        f.U_core = np.zeros((2, 2, 4))  # derived from C and rows
+
+
+def test_factor_set_stores_its_core_once():
+    f = tcur(np.random.default_rng(24).standard_normal((6, 7, 4)), 3)
+    assert [fd.name for fd in dataclasses.fields(f)] == ["C", "R", "rows", "cols"]
+    assert np.array_equal(f.U_core, f.C[f.rows])
+    # A core other than C[rows] cannot be put in: it is not a field.
+    with pytest.raises(TypeError):
+        dataclasses.replace(f, U_core=f.U_core + 1)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda f: {"rows": f.rows[None, :]},
+    lambda f: {"rows": np.array([0, 0, 5])},
+    lambda f: {"rows": f.rows[:2]},
+    lambda f: {"cols": np.array([0, 1, 7])},
+    lambda f: {"cols": f.cols + 0.5},
+    lambda f: {"R": f.R[:2]},
+    lambda f: {"R": f.R[:, :, :3]},
+    lambda f: {"C": f.C[:, :, 0]},
+    lambda f: {"C": f.C + 0j},
+], ids=["rows-2d", "rows-repeated", "rows-too-few", "cols-out-of-bounds", "cols-fractional",
+        "R-other-rank", "R-other-n3", "C-not-third-order", "C-complex"])
+def test_factor_set_that_breaks_a_rule_is_refused_when_built(edit):
+    f = tcur(np.random.default_rng(24).standard_normal((6, 7, 4)), 3)
+    with pytest.raises(DimMismatch):
+        dataclasses.replace(f, **edit(f))
+
+
+def test_factor_set_stores_index_sets_as_intp():
+    f = tcur(np.random.default_rng(24).standard_normal((6, 7, 4)), 3)
+    g = dataclasses.replace(f, rows=f.rows.astype(np.uint8), cols=f.cols.tolist())
+    assert g.rows.dtype == g.cols.dtype == np.intp
+    assert np.array_equal(g.U_core, f.U_core)
 
 
 def _full_spectrum_tcur(w, r):

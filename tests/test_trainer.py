@@ -180,8 +180,11 @@ def test_non_finite_step_loss_is_divergence():
 def test_train_argument_validation():
     task = make_task((4, 4, 2), 2, seed=5)
     a = init_adapter(task.base, 2)
-    with pytest.raises(ValueError):
-        train(a, task, steps=0, lr=0.1)
+    for steps in (0, True, 2.5, "3"):  # a bool would run one step, a str fail on `<`
+        with pytest.raises(ValueError):
+            train(a, task, steps=steps, lr=0.1)
+    assert not a.U.any()
+    assert len(train(a, task, steps=np.int64(2), lr=0.1).loss) == 2
     with pytest.raises(ValueError):
         train(a, task, steps=1, lr=-0.1)
     with pytest.raises(ValueError):
