@@ -20,8 +20,8 @@ from itertools import product
 
 import numpy as np
 
-from .decomp import tcur
-from .errors import DimMismatch, NonFiniteInput
+from .decomp import _finite_tensor3, tcur
+from .errors import DimMismatch
 from .tensor_ops import _as_tensor3, tprod
 
 #: Role order of the four attention projections within each layer's
@@ -46,6 +46,12 @@ PARAM_COUNT_CAVEAT = (
 )
 
 
+def _check_count(name: str, value) -> None:
+    """Raise DimMismatch unless ``value`` is an integer (not a bool) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DimMismatch(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StackingConfig:
     """Shape bookkeeping for stacking per-layer weights into tensors.
@@ -53,6 +59,10 @@ class StackingConfig:
     ``n_heads`` is recorded for documentation only: per-head projections
     are assumed merged into full d x d matrices before stacking, so head
     count never enters the stacked shapes.
+
+    Raises:
+        DimMismatch: d, n_layers or a given n_heads is not an integer
+            (not a bool) >= 1, or n_heads does not divide d.
     """
 
     d: int
@@ -60,13 +70,12 @@ class StackingConfig:
     n_heads: int | None = None
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.n_layers < 1 or (self.n_heads is not None and self.n_heads < 1):
-            raise DimMismatch(
-                f"d, n_layers and n_heads must be positive, got d={self.d}, "
-                f"n_layers={self.n_layers}, n_heads={self.n_heads}"
-            )
-        if self.n_heads is not None and self.d % self.n_heads != 0:
-            raise DimMismatch(f"d={self.d} not divisible by n_heads={self.n_heads}")
+        _check_count("d", self.d)
+        _check_count("n_layers", self.n_layers)
+        if self.n_heads is not None:
+            _check_count("n_heads", self.n_heads)
+            if self.d % self.n_heads != 0:
+                raise DimMismatch(f"d={self.d} not divisible by n_heads={self.n_heads}")
 
     def shape(self, group: str) -> tuple[int, int, int]:
         """(rows, cols, frontal slices) of one stacked group of ``LAYOUT``."""
@@ -141,14 +150,14 @@ def unstack_layers(
 class Adapter:
     """Frozen (base, C, R) plus the learnable core U; ``rank`` is U's size.
 
-    Construction marks base, C and R read-only in place; training only
-    ever reassigns U. A zero U makes the adapter a no-op.
+    Construction stores each tensor as float64 (a float64 array as
+    given) and marks base, C and R read-only; training only ever
+    reassigns U. A zero U makes the adapter a no-op.
 
     Raises:
         DimMismatch: a tensor is not real and third-order, or C, R and U
             are not (n1, r, n3), (r, n2, n3) and (r, r, n3) for base's dims.
-        NonFiniteInput: C, R or U has a NaN or infinite entry (the
-            r-sized factors; ``tcur`` and the checkpoint reader check base).
+        NonFiniteInput: base, C, R or U has a NaN or infinite entry.
     """
 
     base: np.ndarray   # (n1, n2, n3), frozen
@@ -159,14 +168,14 @@ class Adapter:
     rank = property(lambda self: self.U.shape[0])
 
     def __post_init__(self):
-        n1, n2, n3 = _as_tensor3(self.base, "adapter base").shape
+        self.base = _finite_tensor3(self.base, "adapter base")
+        n1, n2, n3 = self.base.shape
         r = _as_tensor3(self.U, "adapter factor U").shape[0]
         for name, want in (("C", (n1, r, n3)), ("R", (r, n2, n3)), ("U", (r, r, n3))):
-            t = _as_tensor3(getattr(self, name), f"adapter factor {name}")
+            t = _finite_tensor3(getattr(self, name), f"adapter factor {name}")
             if t.shape != want:
                 raise DimMismatch(f"adapter factor {name} has shape {t.shape}, not {want}")
-            if not np.isfinite(t).all():
-                raise NonFiniteInput(f"adapter factor {name} has NaN or infinite entries")
+            setattr(self, name, t)
         for frozen in (self.base, self.C, self.R):
             frozen.setflags(write=False)
 
@@ -201,10 +210,9 @@ def core_entries(rank: int, n_slices: int) -> int:
     """Learnable entries of one rank x rank x n_slices core.
 
     Raises:
-        DimMismatch: rank < 1.
+        DimMismatch: rank is not an integer (not a bool) >= 1.
     """
-    if rank < 1:
-        raise DimMismatch(f"rank must be positive, got {rank}")
+    _check_count("rank", rank)
     return rank * rank * n_slices
 
 

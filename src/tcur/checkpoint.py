@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .adapter import ROLE_ORDER, Adapter
-from .decomp import TcurFactors
+from .decomp import TcurFactors, _finite_tensor3
 from .errors import CorruptCheckpoint, TcurError, UnsupportedVersion
-from .tensor_ops import _as_tensor3
 
 MAGIC = b"TCUR"
 VERSION = 1
@@ -58,30 +57,22 @@ _KINDS = {
 
 
 def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
-    """Validate a payload; returns (kind, meta JSON bytes, tensors in file order).
+    """Render a payload; returns (kind, meta JSON bytes, tensors in file order).
 
-    A TcurFactors or Adapter is rebuilt first, so its own construction
-    checks run again on what it holds now (a reassigned adapter core, an
-    index set edited in place). The container adds its own rules.
+    A TcurFactors or Adapter is rendered as built, its construction having
+    checked every tensor it holds; a raw tensor is checked here.
 
     Raises:
         TypeError: not a raw tensor, TcurFactors, or Adapter.
-        ValueError: the payload type's checks fail, or a tensor is not a
-            real third-order tensor (``_as_tensor3``) or is not finite.
+        ValueError: a raw tensor that ``_finite_tensor3`` refuses.
     """
     kind = next((k for k, spec in _KINDS.items() if isinstance(payload, spec[1])), None)
     if kind is None:
         raise TypeError(f"unsupported checkpoint payload type: {type(payload).__name__}")
     name, ptype, tnames, fields = _KINDS[kind]
-    if ptype is not np.ndarray:
-        payload = dataclasses.replace(payload)
-    parts = {n: payload if ptype is np.ndarray else getattr(payload, n)
-             for n in (*tnames, *fields)}
-    tensors = {}
-    for tname in tnames:
-        t = tensors[tname] = _as_tensor3(parts[tname], f"checkpoint tensor {tname!r}")
-        if not np.isfinite(t).all():
-            raise ValueError(f"checkpoint tensor {tname!r} contains non-finite entries")
+    parts = ({"tensor": _finite_tensor3(payload, "checkpoint tensor")} if ptype is np.ndarray
+             else {n: getattr(payload, n) for n in (*tnames, *fields)})
+    tensors = {n: parts[n] for n in tnames}
     meta = {
         "kind": name,
         "layout": LAYOUT,
@@ -96,13 +87,17 @@ def write_checkpoint(path, payload) -> None:
     """Serialize a raw tensor, TcurFactors, or Adapter to ``path``.
 
     The payload is validated before the file is opened, then streamed one
-    tensor at a time with a running CRC.
+    tensor at a time with a running CRC. A TcurFactors or Adapter is
+    rebuilt first, so its construction checks run again on what it holds
+    now (a reassigned adapter core, an index set edited in place).
 
     Raises:
         TypeError: unsupported payload type.
-        ValueError: payload violates its invariants (see ``_encode``).
+        ValueError: the payload fails its type's checks or ``_encode``'s.
         OSError: the file cannot be written.
     """
+    if isinstance(payload, (TcurFactors, Adapter)):
+        payload = dataclasses.replace(payload)
     kind, meta, tensors = _encode(payload)
     head = _HEADER.pack(VERSION, kind, len(meta)) + meta
     crc = zlib.crc32(head)
@@ -120,8 +115,8 @@ def read_checkpoint(path):
     """Deserialize; returns an ndarray, TcurFactors, or Adapter.
 
     Checks magic, version, checksum, and that the manifest's dims cover
-    the payload exactly, then rebuilds the payload and accepts it only if
-    the writer would write this same file for it: every rule the writer
+    the payload exactly, then builds the payload once and accepts it only
+    if the writer would write this same file for it: every rule the writer
     enforces holds, the meta JSON is the canonical rendering, and a stored
     tensor the payload derives (the factor ``U_core``) is the derived one.
 

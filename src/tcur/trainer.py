@@ -224,6 +224,18 @@ class TrainHistory:
     lr: float
 
 
+def _check_finite_real(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an ``int``, ``float``, ``np.integer``
+    or ``np.floating`` (not a bool) that is a float in [0, inf)."""
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    try:
+        ok = real and 0 <= float(value) < math.inf  # also rejects NaN
+    except OverflowError:  # an int past float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite real >= 0, got {value!r}")
+
+
 def train(
     a: Adapter,
     task: SyntheticTask,
@@ -241,24 +253,24 @@ def train(
 
     Args:
         steps: number of update steps, >= 1.
-        lr: step size, >= 0 (0 leaves the core unchanged).
+        lr: step size, a finite real >= 0 (0 leaves the core unchanged).
         optimizer: "gd" or "adam" (Adam with the usual 0.9/0.999/1e-8).
-        rel_stop: optional relative early-stop threshold, >= 0.
+        rel_stop: optional relative early-stop threshold, a finite real >= 0.
 
     Raises:
         ValueError: steps is not an integer (``int`` or ``np.integer``,
-            not ``bool``) >= 1, lr or rel_stop negative or NaN, or an
-            unknown optimizer.
+            not ``bool``) >= 1, lr or rel_stop is not a finite real
+            (``int``, ``float``, ``np.integer`` or ``np.floating``, not
+            ``bool``) >= 0, or an unknown optimizer.
         NonFiniteInput: the initial loss is NaN or infinite.
         DivergenceDetected: a step's loss is NaN or infinite, or exceeded
             1e6 x the initial loss.
     """
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    if not lr >= 0:  # also rejects NaN
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    if rel_stop is not None and not rel_stop >= 0:
-        raise ValueError(f"rel_stop must be >= 0, got {rel_stop}")
+    _check_finite_real("lr", lr)
+    if rel_stop is not None:
+        _check_finite_real("rel_stop", rel_stop)
     if optimizer not in OPTIMIZERS:
         names = " or ".join(map(repr, OPTIMIZERS))
         raise ValueError(f"optimizer must be {names}, got {optimizer!r}")

@@ -83,14 +83,33 @@ def test_frozen_factors_refuse_writes():
     a.U[0, 0, 0] = 1.0  # the core is the learnable part
 
 
-@pytest.mark.parametrize("field", ["C", "R", "U"])
+@pytest.mark.parametrize("field", ["base", "C", "R", "U"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_hand_built_adapter_rejects_non_finite_factors(field, bad):
     a = init_adapter(np.random.default_rng(4).standard_normal((5, 4, 3)), 2)
-    parts = {"base": a.base, "C": a.C.copy(), "R": a.R.copy(), "U": a.U.copy()}
+    parts = {"base": a.base.copy(), "C": a.C.copy(), "R": a.R.copy(), "U": a.U.copy()}
     parts[field][0, 1, 2] = bad
     with pytest.raises(NonFiniteInput, match=field):
         safe_step_size(Adapter(**parts))
+
+
+@pytest.mark.parametrize("convert", [
+    lambda t: t.tolist(),
+    lambda t: t.astype(np.float32),
+    lambda t: np.rint(4 * t).astype(np.int64),
+], ids=["list", "float32", "int64"])
+def test_hand_built_adapter_holds_float64(convert):
+    a = init_adapter(np.random.default_rng(4).standard_normal((5, 4, 3)), 2)
+    given = {n: convert(getattr(a, n)) for n in ("base", "C", "R", "U")}
+    b = Adapter(**given)
+    for name, t in given.items():
+        held = getattr(b, name)
+        assert isinstance(held, np.ndarray) and held.dtype == np.float64, name
+        assert np.array_equal(held, np.asarray(t, dtype=np.float64)), name
+    for frozen in (b.base, b.C, b.R):
+        assert not frozen.flags.writeable
+    b.U[0, 0, 0] = 1.0  # the core stays learnable
+    assert effective_weights(b).dtype == np.float64
 
 
 def test_init_adapter_rank_bounds():
@@ -240,12 +259,44 @@ def test_stacking_config_rejects_non_positive_heads(n_heads):
         StackingConfig(d=6, n_layers=2, n_heads=n_heads)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"d": 64.0, "n_layers": 2},
+    {"d": 64, "n_layers": 2.5},
+    {"d": True, "n_layers": 2},
+    {"d": 64, "n_layers": True},
+    {"d": 64, "n_layers": "2"},
+    {"d": 64, "n_layers": 2, "n_heads": 4.0},
+    {"d": 64, "n_layers": 2, "n_heads": True},
+], ids=["d-float", "layers-fractional", "d-bool", "layers-bool", "layers-str",
+        "heads-float", "heads-bool"])
+def test_stacking_config_rejects_non_integer_counts(kwargs):
+    # a float count would reach the shapes, a bool be read as 1
+    with pytest.raises(DimMismatch, match="must be an integer"):
+        StackingConfig(**kwargs)
+
+
+def test_stacking_config_takes_numpy_integers():
+    cfg = StackingConfig(d=np.int64(8), n_layers=np.int32(2), n_heads=np.int64(2))
+    assert cfg.sa_shape == (8, 8, 8)
+    assert cfg.down_shape == (32, 8, 2)
+
+
 # -------------------------------------------------------------- param counts
 
 def test_core_entries_arithmetic():
     assert core_entries(8, 48) == 3072
     assert core_entries(8, 12) == 768
     assert core_entries(1, 1) == 1
+
+
+@pytest.mark.parametrize("rank", [2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("count", [count_params, count_matrix_baseline])
+def test_core_counts_reject_non_integer_rank(count, rank):
+    with pytest.raises(DimMismatch, match="rank must be an integer"):
+        core_entries(rank, 4)
+    with pytest.raises(DimMismatch):
+        count(StackingConfig(d=32, n_layers=3), rank)
+    assert core_entries(np.int64(2), 4) == 16
 
 
 @pytest.mark.parametrize("rank", [0, -2])

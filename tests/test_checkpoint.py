@@ -155,6 +155,27 @@ def test_adapter_roundtrip_preserves_freezing(tmp_path):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize("ptype", [TcurFactors, Adapter])
+def test_write_and_read_each_build_the_payload_once(tmp_path, monkeypatch, ptype):
+    # The writer rebuilds the payload to re-run its checks; the reader
+    # builds the payload from the file, then only renders it.
+    payload = _factors(3) if ptype is TcurFactors else trained_adapter(5)
+    built = []
+    check = ptype.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ptype, "__post_init__", counted)
+    path = tmp_path / "p.tcur"
+    write_checkpoint(path, payload)
+    assert len(built) == 1 and built[0] is not payload
+    built.clear()
+    back = read_checkpoint(path)
+    assert len(built) == 1 and built[0] is back
+
+
 # ---------------------------------------------------------- format oracle
 
 def test_header_fields_and_kind_codes(tmp_path):

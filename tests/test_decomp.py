@@ -251,14 +251,20 @@ def test_exact_reconstruction_at_true_tubal_rank():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_reconstruct_rejects_non_finite_core(bad):
-    # The core is C's row sample, so the bad value goes in a selected row of C.
+    # A factor set refuses a non-finite C or R when it is built: in the core
+    # (a selected row of C), in an unselected row of C, or in R. What is left
+    # for reconstruct is a finite core whose spectrum overflows.
     f = tcur(np.random.default_rng(29).standard_normal((5, 6, 4)), 2)
+    other = min(set(range(5)) - set(f.rows.tolist()))
+    for field, at in (("C", (f.rows[0], 1, 2)), ("C", (other, 0, 1)), ("R", (1, 3, 0))):
+        t = getattr(f, field).copy()
+        t[at] = bad
+        with pytest.raises(NonFiniteInput, match=f"factor {field}"):
+            dataclasses.replace(f, **{field: t})
     c = f.C.copy()
-    c[f.rows[0], 1, 2] = bad
-    g = dataclasses.replace(f, C=c)
-    assert not np.isfinite(g.U_core).all()
+    c[f.rows] = 1e308  # finite, but the core's DC slice sums to 4e308
     with pytest.raises(NonFiniteInput):
-        reconstruct(g)
+        reconstruct(dataclasses.replace(f, C=c))
 
 
 def test_full_selection_recovers_any_tensor():
@@ -378,3 +384,15 @@ def test_tcur_holds_no_full_size_temporary(traced_peak):
     w = np.random.default_rng(69).standard_normal((192, 160, 24))
     peak = traced_peak(lambda: tcur(w, 12))
     assert peak <= 1.2 * w.nbytes, f"peak {peak / w.nbytes:.3f}x the input"
+
+
+def test_finite_check_holds_no_full_size_mask(traced_peak):
+    # Ten row slabs, each of _BLOCK_BYTES of spectrum and a mask of an
+    # eightieth of the input; one whole-tensor mask would be an eighth.
+    w = np.random.default_rng(70).standard_normal((320, 128, 64))
+    assert len(decomp._blocks(len(w), 2 * w[:1].nbytes)) == 10
+    peak = traced_peak(lambda: decomp._finite_tensor3(w, "w"))
+    assert peak <= 0.05 * w.nbytes, f"peak {peak / w.nbytes:.3f}x the input"
+    w[-1, -1, -1] = np.inf  # in the last slab
+    with pytest.raises(NonFiniteInput, match="w has NaN or infinite"):
+        decomp._finite_tensor3(w, "w")

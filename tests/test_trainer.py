@@ -168,13 +168,13 @@ def test_non_finite_target_raises(bad):
 
 
 def test_non_finite_step_loss_is_divergence():
-    # lr = inf turns zero gradient entries into NaN: the loss is NaN, which
-    # no comparison against the guard catches.
+    # A finite lr this large overflows the first step's loss to inf, which
+    # is named as such; train refuses lr = inf itself.
     task = make_task((5, 5, 3), 2, "in_span", seed=21)
     a = init_adapter(task.base, 2)
     with np.errstate(invalid="ignore", over="ignore"), \
-            pytest.raises(DivergenceDetected, match="not finite"):
-        train(a, task, steps=3, lr=np.inf)
+            pytest.raises(DivergenceDetected, match="loss inf is not finite"):
+        train(a, task, steps=3, lr=1e300)
 
 
 def test_train_argument_validation():
@@ -189,6 +189,18 @@ def test_train_argument_validation():
         train(a, task, steps=1, lr=-0.1)
     with pytest.raises(ValueError):
         train(a, task, steps=1, lr=0.1, optimizer="sgd")
+    # A str or complex would fail on `<`, a bool run as 0 or 1, an infinite
+    # lr escape as numpy's RuntimeWarning from the next spectrum, and an int
+    # past float range as OverflowError.
+    u = a.U.copy()
+    for bad in ("0.1", 1j, True, np.inf, np.float32(np.inf), 10**400):
+        with pytest.raises(ValueError, match="lr must be a finite real"):
+            train(a, task, steps=1, lr=bad)
+        with pytest.raises(ValueError, match="rel_stop must be a finite real"):
+            train(a, task, steps=1, lr=0.1, rel_stop=bad)
+    assert np.array_equal(a.U, u)
+    for lr in (0, np.int64(0), np.float32(0.0)):
+        assert len(train(a, task, steps=1, lr=lr, rel_stop=np.float64(0.5)).loss) == 1
 
 
 @pytest.mark.parametrize("kwargs", [
