@@ -87,16 +87,17 @@ def write_checkpoint(path, payload) -> None:
     """Serialize a raw tensor, TcurFactors, or Adapter to ``path``.
 
     The payload is validated before the file is opened, then streamed one
-    tensor at a time with a running CRC. A TcurFactors or Adapter is
-    rebuilt first, so its construction checks run again on what it holds
-    now (a reassigned adapter core, an index set edited in place).
+    tensor at a time with a running CRC. A dataclass payload (every kind
+    but the raw tensor) is rebuilt first, so its construction checks run
+    again on what it holds now (a reassigned adapter core, an index set
+    edited in place).
 
     Raises:
         TypeError: unsupported payload type.
         ValueError: the payload fails its type's checks or ``_encode``'s.
         OSError: the file cannot be written.
     """
-    if isinstance(payload, (TcurFactors, Adapter)):
+    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         payload = dataclasses.replace(payload)
     kind, meta, tensors = _encode(payload)
     head = _HEADER.pack(VERSION, kind, len(meta)) + meta

@@ -147,8 +147,12 @@ def finite_diff_grad(a: Adapter, task: SyntheticTask) -> np.ndarray:
 
     The per-entry step is ``1e-5 * (1 + |entry|)``. Cost is two loss
     evaluations per core entry (rank^2 * n3 total), so keep dims small.
-    Exact up to rounding on the quadratic loss.
+    Exact up to rounding on the quadratic loss. Each loss is
+    ``task_loss``'s arithmetic on the perturbed core, with C, R and D
+    transformed once.
     """
+    n3 = a.base.shape[2]
+    c_hat, r_hat, d_hat = _spec_task(a, task)
     out = np.empty_like(a.U)
     for idx in np.ndindex(a.U.shape):
         h = 1e-5 * (1.0 + abs(float(a.U[idx])))
@@ -156,8 +160,8 @@ def finite_diff_grad(a: Adapter, task: SyntheticTask) -> np.ndarray:
         u_plus[idx] += h
         u_minus = a.U.copy()
         u_minus[idx] -= h
-        lp = task_loss(replace(a, U=u_plus), task)
-        lm = task_loss(replace(a, U=u_minus), task)
+        lp = _spec_loss(_spec_residual(c_hat, r_hat, d_hat, u_plus), n3)
+        lm = _spec_loss(_spec_residual(c_hat, r_hat, d_hat, u_minus), n3)
         out[idx] = (lp - lm) / (2.0 * h)
     return out
 

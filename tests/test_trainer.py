@@ -168,13 +168,16 @@ def test_non_finite_target_raises(bad):
 
 
 def test_non_finite_step_loss_is_divergence():
-    # A finite lr this large overflows the first step's loss to inf, which
-    # is named as such; train refuses lr = inf itself.
+    # train refuses lr = inf itself, so a finite lr this large stands in:
+    # at 1e300 the first step's loss overflows to inf; at 1e306 the core
+    # itself overflows, C * U * R meets inf - inf and the loss is NaN,
+    # which no comparison against the guard catches.
     task = make_task((5, 5, 3), 2, "in_span", seed=21)
-    a = init_adapter(task.base, 2)
-    with np.errstate(invalid="ignore", over="ignore"), \
-            pytest.raises(DivergenceDetected, match="loss inf is not finite"):
-        train(a, task, steps=3, lr=1e300)
+    for lr, loss in ((1e300, "inf"), (1e306, "nan")):
+        a = init_adapter(task.base, 2)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(DivergenceDetected, match=f"loss {loss} is not finite"):
+            train(a, task, steps=3, lr=lr)
 
 
 def test_train_argument_validation():
