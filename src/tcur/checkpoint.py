@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +43,11 @@ LAYOUT = "slice-major:frontal-slice-contiguous,row-major-within-slice,f64-le"
 STACK_ORDER = "layer-major;roles=" + ",".join(ROLE_ORDER)
 
 _HEADER = struct.Struct("<III")  # version, kind, meta_len
+
+#: Most bytes a read buffers at once. The tensors are read through one
+#: slice-major buffer of at most this size and at most an eighth of the
+#: payload, so a read holds little beyond the arrays it returns.
+_READ_BYTES = 1 << 20
 
 
 #: kind code -> (name, payload type, tensor names in file order, meta
@@ -112,12 +117,123 @@ def write_checkpoint(path, payload) -> None:
         fh.write(struct.pack("<I", crc))
 
 
+def _chunks(shape: tuple[int, int, int], size: int):
+    """Index expressions into a slice-major ``(n3, n1, n2)`` view, in file
+    order, each of at most ``size`` entries: whole frontal slices, or rows
+    of one slice when a slice is larger, or pieces of a row."""
+    n3, n1, n2 = shape
+    if n1 * n2 <= size:
+        step = size // (n1 * n2)
+        return (np.s_[k:k + step] for k in range(0, n3, step))
+    if n2 <= size:
+        step = size // n2
+        return (np.s_[k, i:i + step] for k in range(n3) for i in range(0, n1, step))
+    return (np.s_[k, i, j:j + size] for k in range(n3) for i in range(n1)
+            for j in range(0, n2, size))
+
+
+def _manifest(meta_bytes: bytes, start: int, end: int) -> tuple[dict, list]:
+    """Parse the meta JSON; returns (meta, [(name, dims)]) once the
+    manifest's tensors fill the payload bytes ``start..end`` exactly, so
+    nothing is allocated for a tensor the file does not hold."""
+    try:
+        meta = json.loads(meta_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise CorruptCheckpoint(f"meta JSON unreadable: {e}") from e
+    if not isinstance(meta, dict):
+        raise CorruptCheckpoint(f"meta JSON is a {type(meta).__name__}, not an object")
+    manifest = meta.get("tensors")
+    if not isinstance(manifest, list) or not manifest:
+        raise CorruptCheckpoint("missing tensor manifest")
+    shapes = []
+    offset = start
+    for entry in manifest:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CorruptCheckpoint(f"bad manifest entry: {entry!r}")
+        dims = entry.get("dims", [])
+        if (not isinstance(dims, list) or len(dims) != 3
+                or any(not isinstance(d, int) or d < 1 for d in dims)):
+            raise CorruptCheckpoint(f"bad dims in manifest: {dims}")
+        offset += 8 * dims[0] * dims[1] * dims[2]
+        if offset > end:
+            raise CorruptCheckpoint("tensor payload overruns file")
+        shapes.append((entry["name"], dims))
+    if offset != end:
+        raise CorruptCheckpoint(f"payload length mismatch: manifest ends at {offset}, file at {end}")
+    return meta, shapes
+
+
+def _read_file(path) -> tuple[int, bytes, dict, dict[str, np.ndarray]]:
+    """The framing half of :func:`read_checkpoint`: returns (kind, meta
+    bytes, meta, tensors by name) of a file whose checksum and structure
+    hold. The read buffer is freed on return, before the payload is built."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(MAGIC) + _HEADER.size + 4:
+            raise CorruptCheckpoint(f"file too short ({size} bytes)")
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise CorruptCheckpoint(f"bad magic {magic!r}")
+        head = fh.read(_HEADER.size)
+        version, kind, meta_len = _HEADER.unpack(head)
+        if version != VERSION:
+            raise UnsupportedVersion(f"format version {version}, expected {VERSION}")
+
+        end = size - 4
+        crc = zlib.crc32(head)
+        buf = None
+
+        def fill(view):
+            nonlocal crc
+            if fh.readinto(view) != view.nbytes:
+                raise CorruptCheckpoint("file shorter than when it was opened")
+            crc = zlib.crc32(view, crc)
+
+        try:
+            if kind not in _KINDS:
+                raise CorruptCheckpoint(f"unknown payload kind {kind}")
+            payload_start = fh.tell() + meta_len
+            if payload_start > end:
+                raise CorruptCheckpoint("meta length overruns file")
+            meta_bytes = fh.read(meta_len)
+            crc = zlib.crc32(meta_bytes, crc)
+            meta, shapes = _manifest(meta_bytes, payload_start, end)
+            # The arrays first, so the buffer does not split a hole one would fit.
+            parts = {name: np.empty(dims) for name, dims in shapes}
+            buf = np.empty(max(1, min(_READ_BYTES, (end - payload_start) // 8) // 8), "<f8")
+            for t in parts.values():
+                dst = t.transpose(2, 0, 1)  # slice-major view
+                for idx in _chunks(dst.shape, len(buf)):
+                    part = dst[idx]
+                    chunk = buf[:part.size]
+                    fill(chunk)
+                    np.copyto(part, chunk.reshape(part.shape))
+        except CorruptCheckpoint:
+            # Judge the checksum first: run it over the rest of the file.
+            rest = (np.empty(min(_READ_BYTES, end - fh.tell()), np.uint8) if buf is None
+                    else buf.view(np.uint8))
+            while (left := end - fh.tell()) > 0:
+                fill(rest[:min(left, len(rest))])
+            if fh.read(4) != struct.pack("<I", crc):
+                raise CorruptCheckpoint("CRC-32 mismatch") from None
+            raise
+        if fh.read(4) != struct.pack("<I", crc):
+            raise CorruptCheckpoint("CRC-32 mismatch")
+    return kind, meta_bytes, meta, parts
+
+
 def read_checkpoint(path):
     """Deserialize; returns an ndarray, TcurFactors, or Adapter.
 
-    Checks magic, version, checksum, and that the manifest's dims cover
-    the payload exactly, then builds the payload once and accepts it only
-    if the writer would write this same file for it: every rule the writer
+    Checks magic and version, then the manifest: its dims must cover the
+    payload exactly before any tensor is allocated. Each tensor is read
+    into the C-contiguous ``(n1, n2, n3)`` float64 array that is returned,
+    through one reused slice-major buffer of at most 1 MiB and an eighth
+    of the payload, with a running CRC, so a read holds the returned
+    arrays and that buffer, never the whole file. The checksum is judged
+    before any structural error: a file that fails both raises the CRC
+    mismatch. The read then builds the payload once and accepts it only if
+    the writer would write this same file for it: every rule the writer
     enforces holds, the meta JSON is the canonical rendering, and a stored
     tensor the payload derives (the factor ``U_core``) is the derived one.
 
@@ -127,56 +243,7 @@ def read_checkpoint(path):
         UnsupportedVersion: recognized container, unknown version.
         OSError: the file cannot be read.
     """
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC) + _HEADER.size + 4:
-        raise CorruptCheckpoint(f"file too short ({len(data)} bytes)")
-    if data[:4] != MAGIC:
-        raise CorruptCheckpoint(f"bad magic {data[:4]!r}")
-
-    version, kind, meta_len = _HEADER.unpack_from(data, 4)
-    if version != VERSION:
-        raise UnsupportedVersion(f"format version {version}, expected {VERSION}")
-
-    end = len(data) - 4
-    (stored_crc,) = struct.unpack_from("<I", data, end)
-    if zlib.crc32(memoryview(data)[4:end]) != stored_crc:
-        raise CorruptCheckpoint("CRC-32 mismatch")
-
-    if kind not in _KINDS:
-        raise CorruptCheckpoint(f"unknown payload kind {kind}")
-    meta_start = 4 + _HEADER.size
-    payload_start = meta_start + meta_len
-    if payload_start > end:
-        raise CorruptCheckpoint("meta length overruns file")
-    meta_bytes = data[meta_start:payload_start]
-    try:
-        meta = json.loads(meta_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise CorruptCheckpoint(f"meta JSON unreadable: {e}") from e
-    if not isinstance(meta, dict):
-        raise CorruptCheckpoint(f"meta JSON is a {type(meta).__name__}, not an object")
-
-    manifest = meta.get("tensors")
-    if not isinstance(manifest, list) or not manifest:
-        raise CorruptCheckpoint("missing tensor manifest")
-    parts = {}
-    offset = payload_start
-    for entry in manifest:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise CorruptCheckpoint(f"bad manifest entry: {entry!r}")
-        dims = entry.get("dims", [])
-        if (not isinstance(dims, list) or len(dims) != 3
-                or any(not isinstance(d, int) or d < 1 for d in dims)):
-            raise CorruptCheckpoint(f"bad dims in manifest: {dims}")
-        n1, n2, n3 = dims
-        if offset + 8 * n1 * n2 * n3 > end:
-            raise CorruptCheckpoint("tensor payload overruns file")
-        flat = np.frombuffer(data, dtype="<f8", count=n1 * n2 * n3, offset=offset)
-        parts[entry["name"]] = flat.reshape(n3, n1, n2).transpose(1, 2, 0).copy()
-        offset += 8 * n1 * n2 * n3
-    if offset != end:
-        raise CorruptCheckpoint(f"payload length mismatch: manifest ends at {offset}, file at {end}")
-
+    kind, meta_bytes, meta, parts = _read_file(path)
     _, ptype, tnames, fields = _KINDS[kind]
     own = {"tensor"} if ptype is np.ndarray else {f.name for f in dataclasses.fields(ptype)}
     try:

@@ -34,6 +34,9 @@ DEFAULT_IMAG_TOL = 1e-8
 #: LAPACK-style cutoff eps * max(n1, n2) * sigma_max.
 DEFAULT_SV_TOL_FACTOR = float(np.finfo(np.float64).eps)
 
+#: Entries per chunk of :func:`rel_error` (512 KiB of float64 differences).
+_REL_ERROR_CHUNK = 1 << 16
+
 
 def _as_tensor3(t, name: str = "tensor", dtype=np.float64) -> np.ndarray:
     if np.iscomplexobj(t) and not np.issubdtype(dtype, np.complexfloating):
@@ -249,6 +252,9 @@ def fro_norm(a: np.ndarray) -> float:
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     """``||a - b||_F / ||b||_F``, with b as the reference.
 
+    Both sums of squares are taken over bounded chunks of the entries, the
+    differences in one reused buffer, so no full-size ``a - b`` is made.
+
     Raises:
         DimMismatch: shapes differ.
         ZeroReference: the reference has zero norm.
@@ -257,7 +263,14 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimMismatch(f"rel_error needs matching dims, got {a.shape} vs {b.shape}")
-    denom = fro_norm(b)
-    if denom == 0.0:
+    diff = np.empty(_REL_ERROR_CHUNK, np.result_type(a, b, 1.0))
+    num = den = 0.0
+    with np.nditer([a, b], ["external_loop", "buffered", "zerosize_ok"],
+                   buffersize=len(diff)) as chunks:
+        for x, y in chunks:
+            d = np.subtract(x, y, out=diff[:len(x)])
+            num += np.vdot(d, d).real
+            den += np.vdot(y, y).real
+    if den == 0.0:
         raise ZeroReference("reference tensor has zero Frobenius norm")
-    return fro_norm(a - b) / denom
+    return float(np.sqrt(num) / np.sqrt(den))

@@ -28,6 +28,7 @@ from tcur import (
     TcurError,
     TcurFactors,
     UnsupportedVersion,
+    checkpoint,
     init_adapter,
     read_checkpoint,
     reconstruct,
@@ -248,7 +249,8 @@ def test_writer_matches_independently_crafted_factors_and_adapter(tmp_path):
 @pytest.mark.parametrize("kind", [0, 2])
 def test_write_and_read_peak_memory(tmp_path, kind, traced_peak):
     # The writer holds one slice-major tensor at a time; the reader holds
-    # the file bytes plus the arrays it returns.
+    # the arrays it returns plus one read buffer of at most an eighth of
+    # the payload, never the file bytes.
     a = init_adapter(np.random.default_rng(10).standard_normal((96, 96, 16)), 8)
     payload = a.base if kind == 0 else a
     path = tmp_path / "big.tcur"
@@ -256,7 +258,52 @@ def test_write_and_read_peak_memory(tmp_path, kind, traced_peak):
     size = path.stat().st_size
     read_peak = traced_peak(lambda: read_checkpoint(path))
     assert write_peak <= 1.1 * size, f"write peak {write_peak / size:.2f}x file size"
-    assert read_peak <= 2.2 * size, f"read peak {read_peak / size:.2f}x file size"
+    assert read_peak <= 1.2 * size, f"read peak {read_peak / size:.2f}x file size"
+
+
+@pytest.mark.parametrize("kind", [0, 2])
+def test_read_of_a_large_file_peaks_near_its_size(tmp_path, kind, traced_peak):
+    a = init_adapter(np.random.default_rng(17).standard_normal((192, 192, 16)), 8)
+    path = tmp_path / "big.tcur"
+    write_checkpoint(path, a.base if kind == 0 else a)
+    size = path.stat().st_size
+    assert size >= 4 << 20
+    back = []
+    peak = traced_peak(lambda: back.append(read_checkpoint(path)))
+    assert peak <= 1.2 * size, f"read peak {peak / size:.2f}x file size"
+    for t in [back[0]] if kind == 0 else [back[0].base, back[0].C, back[0].R, back[0].U]:
+        assert t.dtype == np.float64 and t.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(384, 384, 2), (1, 4096, 1), (3, 1, 700)],
+                         ids=["row-blocks", "row-pieces", "many-slices"])
+def test_tensor_larger_than_the_read_buffer_round_trips(tmp_path, shape):
+    # The read buffer holds at most an eighth of the payload, so a 384x384
+    # slice is read in row blocks and a single long row in pieces.
+    t = np.random.default_rng(18).standard_normal(shape)
+    path = tmp_path / "w.tcur"
+    write_checkpoint(path, t)
+    first = path.read_bytes()
+    back = read_checkpoint(path)
+    assert back.tobytes() == t.tobytes() and back.flags.c_contiguous
+    write_checkpoint(path, back)
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("budget", [8, 24, 96, 1 << 20])
+def test_every_read_chunking_reads_the_same_arrays(tmp_path, monkeypatch, budget):
+    # Whole slices, row blocks and row pieces, each at several buffer sizes.
+    monkeypatch.setattr(checkpoint, "_READ_BYTES", budget)
+    rng = np.random.default_rng(19)
+    path = tmp_path / "w.tcur"
+    for payload in (rng.standard_normal((3, 4, 5)), rng.standard_normal((1, 7, 3)),
+                    rng.standard_normal((5, 1, 4)), tcur(rng.standard_normal((6, 7, 4)), 3),
+                    trained_adapter(20)):
+        write_checkpoint(path, payload)
+        first = path.read_bytes()
+        back = read_checkpoint(path)
+        write_checkpoint(path, back)
+        assert path.read_bytes() == first
 
 
 # ------------------------------------------------------------- corruption
@@ -357,6 +404,63 @@ def test_payload_length_mismatch_rejected(tmp_path):
     # declares 2x1x1 (16 bytes) but carries 8
     path.write_bytes(craft(raw_meta((2, 1, 1)), struct.pack("<d", 1.0)))
     with pytest.raises(CorruptCheckpoint):
+        read_checkpoint(path)
+
+
+def test_manifest_larger_than_the_file_rejected_before_allocating(tmp_path, traced_peak):
+    # 65536^3 doubles would be 2 PiB; the manifest is checked against the
+    # file size before any tensor is allocated.
+    path = tmp_path / "w.tcur"
+    path.write_bytes(craft(raw_meta((65536, 65536, 65536)), struct.pack("<d", 1.0)))
+    peak = traced_peak(lambda: pytest.raises(CorruptCheckpoint, read_checkpoint, path))
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("doubles, message", [
+    (7, "tensor payload overruns file"),
+    (9, "payload length mismatch"),
+])
+def test_tensor_payload_that_does_not_fill_the_manifest_rejected(tmp_path, doubles, message):
+    # CRC-valid files whose payload is one double short of, or past, 2x2x2
+    path = tmp_path / "w.tcur"
+    path.write_bytes(craft(raw_meta((2, 2, 2)), struct.pack(f"<{doubles}d", *range(doubles))))
+    with pytest.raises(CorruptCheckpoint, match=message):
+        read_checkpoint(path)
+    # a later tensor that overruns is caught as well
+    meta = {**raw_meta((1, 1, 1)), "tensors": [{"name": "tensor", "dims": [1, 1, 1]},
+                                               {"name": "tensor", "dims": [2, 2, 2]}]}
+    path.write_bytes(craft(meta, struct.pack("<8d", *range(8))))
+    with pytest.raises(CorruptCheckpoint, match="tensor payload overruns file"):
+        read_checkpoint(path)
+
+
+def _structural_faults():
+    payload = np.zeros((256, 256, 5)).tobytes()  # several read buffers long
+    overrun = craft(raw_meta((256, 256, 5)), payload)
+    body = overrun[4:-4]
+    body = body[:8] + struct.pack("<I", len(body)) + body[12:]
+    return {
+        "meta-not-json": (craft(render(raw_meta((256, 256, 5)))[1:], payload),
+                          "meta JSON unreadable"),
+        "meta-overruns-file": (b"TCUR" + body + struct.pack("<I", zlib.crc32(body)),
+                               "meta length overruns file"),
+        "tensor-overruns-file": (craft(raw_meta((256, 256, 6)), payload),
+                                 "tensor payload overruns file"),
+        "unknown-kind": (craft(raw_meta((256, 256, 5)), payload, kind=7),
+                         "unknown payload kind"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_structural_faults()))
+def test_checksum_is_judged_before_structure(tmp_path, case):
+    fresh, message = _structural_faults()[case]
+    (crc,) = struct.unpack_from("<I", fresh, len(fresh) - 4)
+    path = tmp_path / "w.tcur"
+    path.write_bytes(fresh[:-4] + struct.pack("<I", crc ^ 1))  # stale checksum
+    with pytest.raises(CorruptCheckpoint, match="CRC-32 mismatch"):
+        read_checkpoint(path)
+    path.write_bytes(fresh)  # checksum recomputed: the structural error shows
+    with pytest.raises(CorruptCheckpoint, match=message):
         read_checkpoint(path)
 
 

@@ -356,6 +356,30 @@ def test_rel_error_contract():
         rel_error(a, np.ones((2, 2, 3)))
 
 
+def _rel_error_cases():
+    rng = np.random.default_rng(7)
+    big = rng.standard_normal((2, 192, 160, 24))  # several chunks each
+    cube = rng.standard_normal((2, 40, 30, 20))
+    z = rng.standard_normal((2, 9, 8, 7)) + 1j * rng.standard_normal((2, 9, 8, 7))
+    return {
+        "multi-chunk": (big[0], big[1]),
+        "transposed": (cube[0].transpose(2, 0, 1), cube[1].transpose(2, 0, 1)),
+        "strided-mixed": (cube[0][::2, :, ::-1], np.ascontiguousarray(cube[1][::2, :, ::-1])),
+        "complex": (z[0], z[1]),
+        "complex-vs-real": (z[0], z[1].real),
+        "real-vs-complex": (z[0].real, z[1]),
+        "1-d": (big[0].ravel()[:1000], big[1].ravel()[:1000]),
+        "2-d": (cube[0][:, :, 3], cube[1][:, :, 3].T.copy().T),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_rel_error_cases()))
+def test_rel_error_matches_numpy_norms(case):
+    a, b = _rel_error_cases()[case]
+    want = np.linalg.norm(a - b) / np.linalg.norm(b)
+    assert abs(rel_error(a, b) - want) <= 1e-14 * want
+
+
 # ------------------------------------------------------ memory high-water
 
 def test_fft_allocates_only_its_result(traced_peak):
@@ -377,3 +401,10 @@ def test_tprod_allocates_only_the_half_spectrum_and_result(traced_peak):
     floor = 16 * (n3 // 2 + 1) * n1 * l + 8 * n1 * l * n3
     peak = traced_peak(lambda: tprod(a, b))
     assert peak <= 1.05 * floor, f"peak {peak / floor:.2f}x half spectrum + result"
+
+
+def test_rel_error_makes_no_full_size_difference(traced_peak):
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal((2, 192, 160, 24))
+    peak = traced_peak(lambda: rel_error(a, b))
+    assert peak <= 0.2 * a.nbytes, f"peak {peak / a.nbytes:.2f}x one tensor"
