@@ -17,6 +17,19 @@ Round trips are byte-exact: doubles are written verbatim and the meta JSON
 is rendered deterministically. One table (``_KINDS``) and one encoder
 (``_encode``) serve both directions, so the reader accepts exactly what
 the writer writes.
+
+A write and a read each stream the tensors through one slice-major buffer
+of at most 1 MiB and a sixth of the payload, so neither holds a copy of
+the file. A write overwrites the file in place and cuts an old tail last.
+It does not truncate first: on ext4, truncating a file that holds data
+flushes its delayed allocation, and 5.9 MB written over an existing file
+took 1.7-4.0 ms that way against 0.6-0.7 ms in place (tmpfs: 2.1-2.3
+against 0.8-1.1 ms). The write is not atomic: a crash or a failed write
+leaves the new head over the old tail, or a prefix of the new file, and
+the CRC rejects either. A temp file, ``fsync`` and ``os.replace`` would
+keep the old file whole, but a rename over an existing file costs about
+what truncating does (those 5.9 MB: 2.6 ms, 4.8 ms with ``fsync``), so
+that choice is left open.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import stat
 import struct
 import zlib
 
@@ -44,10 +58,10 @@ STACK_ORDER = "layer-major;roles=" + ",".join(ROLE_ORDER)
 
 _HEADER = struct.Struct("<III")  # version, kind, meta_len
 
-#: Most bytes a read buffers at once. The tensors are read through one
-#: slice-major buffer of at most this size and at most an eighth of the
-#: payload, so a read holds little beyond the arrays it returns.
-_READ_BYTES = 1 << 20
+#: Most bytes a write or a read buffers at once. The tensors pass through
+#: one slice-major buffer of at most this size and at most a sixth of the
+#: payload (:func:`_buffer`), so neither holds a copy of the file.
+_BUF_BYTES = 1 << 20
 
 
 #: kind code -> (name, payload type, tensor names in file order, meta
@@ -91,11 +105,21 @@ def _encode(payload) -> tuple[int, bytes, dict[str, np.ndarray]]:
 def write_checkpoint(path, payload) -> None:
     """Serialize a raw tensor, TcurFactors, or Adapter to ``path``.
 
-    The payload is validated before the file is opened, then streamed one
-    tensor at a time with a running CRC. A dataclass payload (every kind
-    but the raw tensor) is rebuilt first, so its construction checks run
-    again on what it holds now (a reassigned adapter core, an index set
-    edited in place).
+    The payload is validated before the file is opened. A dataclass
+    payload (every kind but the raw tensor) is rebuilt first, so its
+    construction checks run again on what it holds now (a reassigned
+    adapter core, an index set edited in place).
+
+    The file is opened without truncating it and overwritten in place:
+    each tensor is copied, in file order, into one reused slice-major
+    buffer of at most 1 MiB and a sixth of the payload, and written one
+    chunk at a time with a running CRC. A regular file that was longer has
+    its old tail cut last. Like ``open(path, "wb")``, a write follows
+    symlinks, reaches every hard link, and keeps the file's permission
+    bits. A crash or a failed write leaves the new head over the old
+    file's tail (a prefix of the new file where there was no tail); the
+    reader's CRC rejects either. The module docstring says why the file
+    is not replaced atomically.
 
     Raises:
         TypeError: unsupported payload type.
@@ -107,28 +131,48 @@ def write_checkpoint(path, payload) -> None:
     kind, meta, tensors = _encode(payload)
     head = _HEADER.pack(VERSION, kind, len(meta)) + meta
     crc = zlib.crc32(head)
-    with open(path, "wb") as fh:
+    buf = _buffer(sum(t.nbytes for t in tensors.values()))
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        old = os.fstat(fh.fileno())
         fh.write(MAGIC + head)
         for t in tensors.values():
-            # (n1, n2, n3) -> slice-major: slice k contiguous, row-major within.
-            t = np.ascontiguousarray(t.transpose(2, 0, 1), dtype="<f8")
-            crc = zlib.crc32(t, crc)
-            fh.write(t)
+            src = t.transpose(2, 0, 1)  # slice-major view
+            # Gathered a band of t's rows at a time, so the slices of one
+            # chunk reuse each cache line of t they read while it is cached
+            # (192x160x24 on tmpfs: 6.2 -> 4.8 ms a write).
+            band = max(1, _BUF_BYTES // t[:1].nbytes)
+            for idx in _chunks(src.shape, len(buf)):
+                part = src[idx]
+                chunk = buf[:part.size]
+                view = chunk.reshape(part.shape)
+                for i in range(0, part.shape[1], band):
+                    np.copyto(view[:, i:i + band], part[:, i:i + band])
+                crc = zlib.crc32(chunk, crc)
+                fh.write(chunk)
         fh.write(struct.pack("<I", crc))
+        if stat.S_ISREG(old.st_mode) and old.st_size > fh.tell():
+            fh.truncate()
+
+
+def _buffer(payload_bytes: int) -> np.ndarray:
+    """The one slice-major buffer a write or a read streams its tensors
+    through: at most ``_BUF_BYTES`` and a sixth of the payload."""
+    return np.empty(max(1, min(_BUF_BYTES, payload_bytes // 6) // 8), "<f8")
 
 
 def _chunks(shape: tuple[int, int, int], size: int):
     """Index expressions into a slice-major ``(n3, n1, n2)`` view, in file
-    order, each of at most ``size`` entries: whole frontal slices, or rows
-    of one slice when a slice is larger, or pieces of a row."""
+    order, each of at most ``size`` entries and each picking a 3-D block:
+    whole frontal slices, or rows of one slice when a slice is larger, or
+    pieces of a row."""
     n3, n1, n2 = shape
     if n1 * n2 <= size:
         step = size // (n1 * n2)
         return (np.s_[k:k + step] for k in range(0, n3, step))
     if n2 <= size:
         step = size // n2
-        return (np.s_[k, i:i + step] for k in range(n3) for i in range(0, n1, step))
-    return (np.s_[k, i, j:j + size] for k in range(n3) for i in range(n1)
+        return (np.s_[k:k + 1, i:i + step] for k in range(n3) for i in range(0, n1, step))
+    return (np.s_[k:k + 1, i:i + 1, j:j + size] for k in range(n3) for i in range(n1)
             for j in range(0, n2, size))
 
 
@@ -200,7 +244,7 @@ def _read_file(path) -> tuple[int, bytes, dict, dict[str, np.ndarray]]:
             meta, shapes = _manifest(meta_bytes, payload_start, end)
             # The arrays first, so the buffer does not split a hole one would fit.
             parts = {name: np.empty(dims) for name, dims in shapes}
-            buf = np.empty(max(1, min(_READ_BYTES, (end - payload_start) // 8) // 8), "<f8")
+            buf = _buffer(end - payload_start)
             for t in parts.values():
                 dst = t.transpose(2, 0, 1)  # slice-major view
                 for idx in _chunks(dst.shape, len(buf)):
@@ -210,7 +254,7 @@ def _read_file(path) -> tuple[int, bytes, dict, dict[str, np.ndarray]]:
                     np.copyto(part, chunk.reshape(part.shape))
         except CorruptCheckpoint:
             # Judge the checksum first: run it over the rest of the file.
-            rest = (np.empty(min(_READ_BYTES, end - fh.tell()), np.uint8) if buf is None
+            rest = (np.empty(min(_BUF_BYTES, end - fh.tell()), np.uint8) if buf is None
                     else buf.view(np.uint8))
             while (left := end - fh.tell()) > 0:
                 fill(rest[:min(left, len(rest))])
@@ -228,7 +272,7 @@ def read_checkpoint(path):
     Checks magic and version, then the manifest: its dims must cover the
     payload exactly before any tensor is allocated. Each tensor is read
     into the C-contiguous ``(n1, n2, n3)`` float64 array that is returned,
-    through one reused slice-major buffer of at most 1 MiB and an eighth
+    through one reused slice-major buffer of at most 1 MiB and a sixth
     of the payload, with a running CRC, so a read holds the returned
     arrays and that buffer, never the whole file. The checksum is judged
     before any structural error: a file that fails both raises the CRC

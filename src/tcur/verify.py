@@ -365,10 +365,15 @@ def check_training_descent(seed):
 def check_checkpoint_roundtrip(seed):
     rng = np.random.default_rng(seed)
     with tempfile.TemporaryDirectory() as td:
-        path = Path(td) / "t.tcur"
+        path, fresh = Path(td) / "t.tcur", Path(td) / "fresh.tcur"
         w = rng.standard_normal((4, 5, 3))
+        ckpt.write_checkpoint(fresh, w)
+        first = fresh.read_bytes()
+        # a write over a larger file must leave none of its tail
+        ckpt.write_checkpoint(path, rng.standard_normal((6, 5, 3)))
         ckpt.write_checkpoint(path, w)
-        first = path.read_bytes()
+        if path.read_bytes() != first:
+            return False, "a write over a larger file is not the fresh write's bytes"
         back = ckpt.read_checkpoint(path)
         if not np.array_equal(back, w):
             return False, "raw tensor round trip not value-exact"
@@ -382,7 +387,7 @@ def check_checkpoint_roundtrip(seed):
         try:
             ckpt.read_checkpoint(path)
         except CorruptCheckpoint:
-            return True, "round trip byte-exact; payload flip detected"
+            return True, "round trip byte-exact, also over a larger file; payload flip detected"
         return False, "payload corruption went undetected"
 
 
@@ -427,6 +432,16 @@ def _bitrot(write):
     return bad
 
 
+def _stale_tail(write):
+    # Overwrites in place but leaves the old file's tail past the new end.
+    def bad(path, payload):
+        old = Path(path).read_bytes() if Path(path).exists() else b""
+        write(path, payload)
+        with open(path, "ab") as fh:
+            fh.write(old[Path(path).stat().st_size:])
+    return bad
+
+
 def _reversed(fiber_sums):
     # Still non-negative, so the scores still sum to 1, but each call ranks
     # its per-index sums backwards.
@@ -447,6 +462,7 @@ FAULTS = {
                           lambda g: lambda c, e, r, n3: g(c.conj(), e, r.conj(), n3)),
     "grad-scale": (trainer, "grad_core", lambda grad: lambda a, g: 1.01 * grad(a, g)),
     "checkpoint-bitrot": (ckpt, "write_checkpoint", _bitrot),
+    "checkpoint-stale-tail": (ckpt, "write_checkpoint", _stale_tail),
 }
 
 

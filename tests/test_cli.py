@@ -219,6 +219,7 @@ def test_fault_hooks_reach_library_internals(fault, tmp_path):
     write_checkpoint(w_path, task.base)
 
     def downstream():
+        f_path.write_bytes(bytes(1 << 14))  # a longer file to write over
         assert main(["decompose", str(w_path), "--rank", "3", "--out", str(f_path)]) == 0
         f = read_checkpoint(f_path)
         a = init_adapter(task.base, 3)
